@@ -6,12 +6,16 @@
 use crate::mix::{Cell, Transport, Workload};
 use crate::tally::{Failure, Tally};
 use crate::trace::{thread_allocations, Tracer};
-use rdx_api::{QueryPoll, RowChunkSink, ServeConfig, Session, Ticket};
+use rdx_api::{CacheParams, QueryPoll, RowChunkSink, ServeConfig, Session, Ticket};
 use rdx_core::strategy::planner::plan_by_cost_with_threads;
+use rdx_core::strategy::DsmPostProjection;
 use rdx_dsm::{DsmRelation, ResultRelation};
-use rdx_net::{ClientError, Frame, NetClient, NetConfig, NetListener, NetStats, SubmitSpec};
+use rdx_net::{
+    ClientError, Frame, NetClient, NetConfig, NetListener, NetStats, SubmitSpec,
+    DEFAULT_MAX_PAYLOAD,
+};
 use rdx_serve::{EngineStats, QueryEngine, QueryStats, RelationId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -81,13 +85,25 @@ pub fn build(w: &Workload, seed: u64) -> (Session, Vec<Tenant>, ServeConfig) {
     (session, tenants, cfg)
 }
 
-/// The correctness oracle: rdx-core's one-shot `DsmPostProjection::execute`
-/// with the codes and cache share the engine plans with.
+/// The correctness oracle's plan: rdx-core's one-shot `DsmPostProjection`
+/// with the codes the engine picks at its cache share `shared`.
+pub fn oracle_plan(t: &Tenant, cell: Cell, shared: &CacheParams) -> DsmPostProjection {
+    plan_by_cost_with_threads(&t.larger, &t.smaller, &cell.spec(), shared, 1)
+}
+
+/// The correctness oracle: [`oracle_plan`] run through
+/// `DsmPostProjection::execute`.
 pub fn oracle(t: &Tenant, cell: Cell, cfg: &ServeConfig) -> ResultRelation {
     let shared = QueryEngine::new(cfg.clone()).shared_params().clone();
-    let spec = cell.spec();
-    let plan = plan_by_cost_with_threads(&t.larger, &t.smaller, &spec, &shared, 1);
-    plan.execute(&t.larger, &t.smaller, &spec, &shared).result
+    oracle_plan(t, cell, &shared)
+        .execute(&t.larger, &t.smaller, &cell.spec(), &shared)
+        .result
+}
+
+/// Whether `cell`'s result on `t` is larger than the client's frame cap, so
+/// its `Done` frame cannot be delivered over the socket.
+pub fn over_frame_cap(t: &Tenant, cell: Cell) -> bool {
+    t.rows * cell.spec().total() * 4 > DEFAULT_MAX_PAYLOAD as usize
 }
 
 /// A delivered result kept for the byte-for-byte check.
@@ -133,11 +149,20 @@ impl LoopReport {
         self.tally.completed() as f64 / self.elapsed_s.max(1e-9)
     }
 
-    /// Compares each kept sample with the oracle; a mismatch turns that
-    /// query into a wrong result.  Returns the cells that mismatched.
-    pub fn check(&mut self, tenants: &[Tenant], cfg: &ServeConfig) -> Vec<Cell> {
+    /// Compares each kept sample of a cell not yet in `checked` with the
+    /// oracle, and adds the cell to `checked`; a mismatch turns that query
+    /// into a wrong result.  Returns the cells that mismatched.
+    pub fn check(
+        &mut self,
+        tenants: &[Tenant],
+        cfg: &ServeConfig,
+        checked: &mut BTreeSet<Cell>,
+    ) -> Vec<Cell> {
         let mut bad = Vec::new();
         for (cell, (index, sample)) in &self.samples {
+            if !checked.insert(*cell) {
+                continue;
+            }
             let expected = oracle(&tenants[cell.tenant], *cell, cfg);
             let want: Vec<&[i32]> = expected.columns().iter().map(|c| c.as_slice()).collect();
             if sample.columns() != want {
@@ -146,6 +171,44 @@ impl LoopReport {
             }
         }
         bad
+    }
+
+    /// The workload's invariants, broken by a run that reports `correct`
+    /// numbers for the wrong reason:
+    /// - the failed attempts are exactly those whose result is over the
+    ///   frame cap on a socket workload (none in process), so nothing fails
+    ///   for another reason and no over-cap query slips through;
+    /// - a warm workload's every delivered result is a cluster-cache hit,
+    ///   and a cold one's none.
+    pub fn guard_violations(&self, w: &Workload, tenants: &[Tenant]) -> Vec<String> {
+        let mut out = Vec::new();
+        let wire = w.transport == Transport::Unix;
+        let unexpected = self
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|&(i, &c)| {
+                let must_fail = wire && over_frame_cap(&tenants[c.tenant], c);
+                self.tally.latency(i).is_none() != must_fail
+            })
+            .count();
+        if unexpected > 0 {
+            out.push(format!(
+                "{unexpected} of {} attempts failed where an over-cap result was not the \
+                 cause, or completed where it should have failed",
+                self.attempts.len()
+            ));
+        }
+        let hits_wanted = if w.warm_cache { self.delivered } else { 0 };
+        if self.cache_hits != hits_wanted {
+            out.push(format!(
+                "{} cluster-cache hits over {} delivered results; the {} cache wants {hits_wanted}",
+                self.cache_hits,
+                self.delivered,
+                if w.warm_cache { "warm" } else { "disabled" },
+            ));
+        }
+        out
     }
 
     /// Records a delivered result whose shape has been checked.
@@ -170,6 +233,8 @@ impl LoopReport {
 pub struct Load<'a> {
     /// Queries, cycled while a deadline is set, else run once.
     pub seq: &'a [Cell],
+    /// Where in `seq` the loop starts (cycled loops only).
+    pub start: usize,
     /// Queries kept outstanding at once.
     pub width: usize,
     /// Keep issuing until this many seconds have passed...
@@ -182,7 +247,7 @@ impl Load<'_> {
     fn next(&self, i: usize, started: Instant) -> Option<Cell> {
         match self.seconds {
             Some(s) if i < self.min_queries || started.elapsed().as_secs_f64() < s => {
-                Some(self.seq[i % self.seq.len()])
+                Some(self.seq[(self.start + i) % self.seq.len()])
             }
             Some(_) => None,
             None => self.seq.get(i).copied(),
@@ -253,13 +318,9 @@ pub fn inproc_loop(
             break;
         }
         let e0 = thread_allocations();
-        if tracer.on() {
-            let step = tracer.open("serve.step", u64::MAX, None);
-            session.engine_mut().step();
-            tracer.close(step);
-        } else {
-            session.drive(1);
-        }
+        let step = tracer.open("serve.step", u64::MAX, None);
+        session.engine_mut().step();
+        tracer.close(step);
         rep.engine_allocs += thread_allocations() - e0;
         for entry in slots.iter_mut() {
             let Some(slot) = entry else { continue };
@@ -622,14 +683,83 @@ mod tests {
 
         let mut ok = LoopReport::default();
         ok.deliver(cell, 1.0, true, Sample::Wire(good));
-        assert!(ok.check(&tenants, &cfg).is_empty());
+        assert!(ok.check(&tenants, &cfg, &mut BTreeSet::new()).is_empty());
         assert_eq!(ok.tally.failed(), 0);
 
         let mut corrupted = LoopReport::default();
         corrupted.deliver(cell, 1.0, true, Sample::Wire(bad));
-        assert_eq!(corrupted.check(&tenants, &cfg), vec![cell]);
+        let mut checked = BTreeSet::new();
+        assert_eq!(corrupted.check(&tenants, &cfg, &mut checked), vec![cell]);
         assert_eq!((corrupted.tally.failed(), corrupted.tally.wrong()), (1, 1));
         assert_eq!(corrupted.tally.failed_frac(), 1.0);
+        // A cell is compared once per run, in the first instance that has it.
+        assert!(checked.contains(&cell));
+    }
+
+    /// `tiny`'s tenant, claiming `rows` result rows so `over_frame_cap`
+    /// sees a 1M-row tenant.
+    fn tenant_with_rows(rows: usize) -> Vec<Tenant> {
+        let (mut tenants, _) = tiny();
+        tenants[0].rows = rows;
+        tenants
+    }
+
+    fn workload(name: &str) -> Workload {
+        crate::mix::find(name).unwrap()
+    }
+
+    #[test]
+    fn only_over_cap_results_may_fail_on_the_socket() {
+        let w = workload("wire_warm_zipf");
+        let tenants = tenant_with_rows(1_000_000);
+        let (small, big) = (Cell { tenant: 0, pi: 1 }, Cell { tenant: 0, pi: 3 });
+        assert!(!over_frame_cap(&tenants[0], small) && over_frame_cap(&tenants[0], big));
+
+        let mut rep = LoopReport::default();
+        rep.deliver(small, 1.0, true, Sample::Wire(Vec::new()));
+        rep.cache_hits = 1;
+        rep.fail(big, Failure::Undeliverable);
+        assert!(rep.guard_violations(&w, &tenants).is_empty());
+
+        // A query that fails although its result fits breaks the guard...
+        let mut lost = LoopReport::default();
+        lost.fail(small, Failure::Undeliverable);
+        assert_eq!(lost.guard_violations(&w, &tenants).len(), 1);
+        // ...and so does an over-cap result that was delivered after all.
+        let mut slipped = LoopReport::default();
+        slipped.deliver(big, 1.0, true, Sample::Wire(Vec::new()));
+        slipped.cache_hits = 1;
+        assert_eq!(slipped.guard_violations(&w, &tenants).len(), 1);
+        // In process there is no frame cap: nothing may fail.
+        let cold = workload("inproc_cold_budget");
+        assert_eq!(rep.guard_violations(&cold, &tenants).len(), 2);
+    }
+
+    #[test]
+    fn a_warm_workload_must_hit_the_cache_on_every_result() {
+        let w = workload("wire_small_hot");
+        let tenants = tenant_with_rows(500);
+        let cell = Cell { tenant: 0, pi: 1 };
+        let mut rep = LoopReport::default();
+        for _ in 0..3 {
+            rep.deliver(cell, 1.0, true, Sample::Wire(Vec::new()));
+        }
+        rep.cache_hits = 3;
+        assert!(rep.guard_violations(&w, &tenants).is_empty());
+        rep.cache_hits = 2;
+        assert_eq!(rep.guard_violations(&w, &tenants).len(), 1);
+    }
+
+    #[test]
+    fn a_cold_workload_must_never_hit_the_cache() {
+        let w = workload("inproc_cold_budget");
+        let tenants = tenant_with_rows(500);
+        let cell = Cell { tenant: 0, pi: 1 };
+        let mut rep = LoopReport::default();
+        rep.deliver(cell, 1.0, true, Sample::Wire(Vec::new()));
+        assert!(rep.guard_violations(&w, &tenants).is_empty());
+        rep.cache_hits = 1;
+        assert_eq!(rep.guard_violations(&w, &tenants).len(), 1);
     }
 
     #[test]

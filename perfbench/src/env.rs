@@ -1,82 +1,45 @@
-//! The environment stamp and the process's peak resident set, read
-//! without touching any file outside the checkout.
+//! The environment stamp and the process's peak resident set, read from
+//! the kernel's `/proc` and `/sys` pseudo-files.
 
 use rdx_api::CacheParams;
 use rdx_bench::baseline::EnvMeta;
+use std::fs::read_to_string;
 
-#[repr(C)]
-struct RUsage {
-    utime: [i64; 2],
-    stime: [i64; 2],
-    maxrss: i64,
-    rest: [i64; 13],
-}
-
-extern "C" {
-    fn getrusage(who: i32, usage: *mut RUsage) -> i32;
-}
-
-/// Peak resident set of this process so far, in MB (10⁶ bytes).
+/// Peak resident set of this process so far (`VmHWM`), in MB (10⁶ bytes);
+/// NaN where `/proc` does not report it.
 pub fn peak_rss_mb() -> f64 {
-    let mut usage = RUsage {
-        utime: [0; 2],
-        stime: [0; 2],
-        maxrss: 0,
-        rest: [0; 13],
-    };
-    // SAFETY: `usage` is a live, correctly sized `struct rusage`.
-    let rc = unsafe { getrusage(0, &mut usage) };
-    if rc != 0 {
-        return f64::NAN;
-    }
-    usage.maxrss as f64 * 1024.0 / 1e6 // ru_maxrss is in KiB on Linux
+    read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(f64::NAN, |kib| kib * 1024.0 / 1e6)
 }
 
-/// The host CPU's brand string and data/unified cache sizes, from `cpuid`.
+/// The host CPU's model name, and the level and size of each of cpu 0's
+/// data and unified caches, in bytes.
 fn cpu() -> (String, Vec<(u32, u64)>) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::__cpuid_count;
-        let leaf = |eax: u32, ecx: u32| __cpuid_count(eax, ecx);
-        let mut brand = String::new();
-        if leaf(0x8000_0000, 0).eax >= 0x8000_0004 {
-            let mut bytes = Vec::new();
-            for l in 0x8000_0002..=0x8000_0004u32 {
-                let r = leaf(l, 0);
-                for reg in [r.eax, r.ebx, r.ecx, r.edx] {
-                    bytes.extend_from_slice(&reg.to_le_bytes());
-                }
-            }
-            brand = String::from_utf8_lossy(&bytes)
-                .trim_matches(char::from(0))
-                .trim()
-                .to_owned();
-        }
-        let mut caches = Vec::new();
-        if leaf(0, 0).eax >= 4 {
-            for i in 0..16 {
-                let r = leaf(4, i);
-                let kind = r.eax & 0x1f; // 0 none, 1 data, 2 instruction, 3 unified
-                if kind == 0 {
-                    break;
-                }
-                if kind == 2 {
-                    continue;
-                }
-                let level = (r.eax >> 5) & 0x7;
-                let ways = ((r.ebx >> 22) & 0x3ff) as u64 + 1;
-                let parts = ((r.ebx >> 12) & 0x3ff) as u64 + 1;
-                let line = (r.ebx & 0xfff) as u64 + 1;
-                let sets = r.ecx as u64 + 1;
-                caches.push((level, ways * parts * line * sets));
-            }
-        }
-        (brand, caches)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        (String::from("unknown"), Vec::new())
-    }
+    let model = read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let dir = "/sys/devices/system/cpu/cpu0/cache";
+    let caches = (0..)
+        .map_while(|i| {
+            let field = |f: &str| read_to_string(format!("{dir}/index{i}/{f}")).ok();
+            Some((field("level")?, field("type")?, field("size")?))
+        })
+        .filter(|(_, kind, _)| kind.trim() != "Instruction")
+        .filter_map(|(level, _, size)| {
+            let kib: u64 = size.trim().strip_suffix('K')?.parse().ok()?;
+            Some((level.trim().parse().ok()?, kib * 1024))
+        })
+        .collect();
+    (model, caches)
 }
 
 /// The stamp printed with every result: the shared `EnvMeta` (nproc,
@@ -84,7 +47,7 @@ fn cpu() -> (String, Vec<(u32, u64)>) {
 /// workload seed.  One run is one sample.
 pub fn stamp_json(params: &CacheParams, seed: u64) -> String {
     let meta = EnvMeta::capture(params, 1);
-    let (brand, caches) = cpu();
+    let (model, caches) = cpu();
     let caches: Vec<String> = caches
         .iter()
         .map(|(level, bytes)| format!("{{\"level\": {level}, \"bytes\": {bytes}}}"))
@@ -92,7 +55,7 @@ pub fn stamp_json(params: &CacheParams, seed: u64) -> String {
     format!(
         "{{{}, \"cpu_model\": \"{}\", \"host_caches\": [{}], \"seed\": {seed}}}",
         meta.to_json(""),
-        brand.replace(['"', '\\'], ""),
+        model.replace(['"', '\\'], ""),
         caches.join(", "),
     )
 }

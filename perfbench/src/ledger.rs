@@ -3,7 +3,7 @@
 //!
 //! | layer | entry point timed                                          |
 //! |-------|------------------------------------------------------------|
-//! | core  | `DsmPostProjection::execute` (also the oracle)              |
+//! | core  | `DsmPostProjection::execute`, planned outside the timing (also the oracle) |
 //! | exec  | `QueryEngine::resolve_direct`, its `PipelineRun` stepped to completion, `retire` |
 //! | serve | `QueryEngine` submit → step → take_outcome                 |
 //! | api   | `Session` `query(..).run()`                                 |
@@ -13,7 +13,7 @@
 //! `ProjectionPipeline` wrapper slated for removal, so the exec layer
 //! enters through the engine's one planner entry, which owns the run.
 
-use crate::drive::{build, oracle, wire_instance, Load, LoopReport, ServerReport, Tenant};
+use crate::drive::{build, oracle_plan, wire_instance, Load, LoopReport, ServerReport, Tenant};
 use crate::mix::{Cell, Workload};
 use crate::trace::Tracer;
 use rdx_core::strategy::MaterializeSink;
@@ -68,7 +68,8 @@ fn reps_for(core_ms: f64) -> usize {
 
 pub fn run(w: &Workload, seed: u64, tracer: &mut Tracer) -> Result<Ledger, String> {
     let cells = w.cells();
-    let (mut session, tenants, cfg) = build(w, seed);
+    let (mut session, tenants, _) = build(w, seed);
+    let shared = session.engine_mut().shared_params().clone();
     let mut ms = Vec::new();
     let mut reps = Vec::new();
     let mut serve_stats = Vec::new();
@@ -79,12 +80,18 @@ pub fn run(w: &Workload, seed: u64, tracer: &mut Tracer) -> Result<Ledger, Strin
         let t: &Tenant = &tenants[cell.tenant];
         let (l, s) = t.ids;
         let spec = cell.spec();
-        let (core_ms, expected) = timed(tracer, "ledger.core", q, || oracle(t, cell, &cfg));
-        let n = reps_for(core_ms);
+        let plan = oracle_plan(t, cell, &shared);
+        let core = || plan.execute(&t.larger, &t.smaller, &spec, &shared).result;
+        // The first run gives the reference result and sizes the repetitions.
+        let t0 = Instant::now();
+        let expected = core();
+        let n = reps_for(t0.elapsed().as_secs_f64() * 1e3);
         reps.push(n);
         let mut layer: [Vec<f64>; 5] = Default::default();
-        layer[0].push(core_ms);
         for _ in 0..n {
+            let (core_ms, _) = timed(tracer, "ledger.core", q, core);
+            layer[0].push(core_ms);
+
             // exec: the planner entry hands over the run; step it to the end.
             let (exec_ms, out) = timed(tracer, "ledger.exec", q, || {
                 let engine = session.engine_mut();
@@ -154,6 +161,7 @@ pub fn run(w: &Workload, seed: u64, tracer: &mut Tracer) -> Result<Ledger, Strin
         .collect();
     let load = Load {
         seq: &seq,
+        start: 0,
         width: 1,
         seconds: None,
         min_queries: 0,

@@ -22,21 +22,31 @@ mod mix;
 mod tally;
 mod trace;
 
-use drive::{inproc_instance, setup_only, wire_instance, Load, LoopReport, ServerReport, OUT_DIR};
+use drive::{
+    inproc_instance, over_frame_cap, setup_only, wire_instance, Load, LoopReport, ServerReport,
+    OUT_DIR,
+};
 use mix::{Transport, Workload};
 use rdx_net::DEFAULT_MAX_PAYLOAD;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
-use tally::{median, P90_MIN_SAMPLES};
+use tally::{median, Tally, P90_MIN_SAMPLES};
 use trace::{count_allocations, CountingAlloc, Tracer};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Set-up repetitions per run: at least this many, and more until they
-/// have taken a second; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+/// A `--trace 0` run splits its measured loop over this many fresh
+/// instances of the workload, each set up anew, so that set-up is sampled
+/// all through the run rather than once before it.
+const INSTANCES: usize = 5;
+
+/// Set-up time a `--trace 0` run spends at least, spread pro rata over the
+/// gaps between instances by repeating a fast set-up; `setup_s` is the
+/// median of every set-up.
+const SETUP_FLOOR_S: f64 = 1.0;
 
 /// Length of the query sequence a run cycles through.
 const SEQUENCE_LEN: usize = 48 * 100;
@@ -145,26 +155,11 @@ struct Measured {
     cfg: rdx_api::ServeConfig,
 }
 
-/// Runs the closed loop for `seconds`, and on until `min_queries` were
-/// issued.
-fn measure(
-    args: &Args,
-    seconds: f64,
-    min_queries: usize,
-    tracer: &mut Tracer,
-) -> Result<Measured, String> {
-    let w = &args.workload;
-    let seq = w.sequence(args.seed, SEQUENCE_LEN);
-    let load = Load {
-        seq: &seq,
-        width: 2,
-        seconds: Some(seconds),
-        min_queries,
-    };
+/// Sets up one instance of the workload and runs `load` on it.
+fn instance(w: &Workload, seed: u64, load: &Load, tracer: &mut Tracer) -> Result<Measured, String> {
     Ok(match w.transport {
         Transport::Unix => {
-            let (setup_s, rep, server, tenants, cfg) =
-                wire_instance(w, args.seed, Some(&load), tracer)?;
+            let (setup_s, rep, server, tenants, cfg) = wire_instance(w, seed, Some(load), tracer)?;
             Measured {
                 setup_s,
                 rep,
@@ -174,7 +169,7 @@ fn measure(
             }
         }
         Transport::InProcess => {
-            let (setup_s, rep, tenants, cfg) = inproc_instance(w, args.seed, Some(&load), tracer);
+            let (setup_s, rep, tenants, cfg) = inproc_instance(w, seed, Some(load), tracer);
             Measured {
                 setup_s,
                 rep,
@@ -190,8 +185,19 @@ fn ms_to(values: &[f64], scale: f64) -> Option<f64> {
     median(values).map(|m| m * scale)
 }
 
-fn describe(out: &mut Vec<String>, label: &str, rep: &LoopReport) {
-    let t = &rep.tally;
+/// A closed loop of two outstanding queries over `seq` from `start`, for
+/// `seconds` and on until `min_queries` were issued.
+fn closed(seq: &[mix::Cell], start: usize, seconds: f64, min_queries: usize) -> Load<'_> {
+    Load {
+        seq,
+        start,
+        width: 2,
+        seconds: Some(seconds),
+        min_queries,
+    }
+}
+
+fn describe(out: &mut Vec<String>, label: &str, t: &Tally, elapsed_s: f64) {
     out.push(format!(
         "{label}: {} attempted, {} completed, failed_frac {:.4} (refused {}, undeliverable {}, \
          wrong {}) over {:.2} s",
@@ -201,59 +207,83 @@ fn describe(out: &mut Vec<String>, label: &str, rep: &LoopReport) {
         t.refused(),
         t.undeliverable(),
         t.wrong(),
-        rep.elapsed_s,
+        elapsed_s,
     ));
 }
 
-/// `--trace 0`: repeated set-ups, then one untraced measured loop.
-fn untraced(args: &Args) -> Result<Output, String> {
-    let mut setups = Vec::new();
-    let t0 = Instant::now();
-    while setups.len() + 1 < SETUP_REPS || t0.elapsed().as_secs_f64() < 1.0 {
-        setups.push(setup_only(&args.workload, args.seed)?);
+fn report_problems(out: &mut Output, bad: &[mix::Cell], violations: &[String]) {
+    for cell in bad {
+        out.notes.push(format!("WRONG RESULT for {cell:?}"));
     }
+    for v in violations {
+        out.notes.push(format!("GUARD FAILED: {v}"));
+    }
+}
+
+/// `--trace 0`: the measured loop over [`INSTANCES`] instances, with more
+/// set-ups between them.  The instances' outcomes are pooled.
+fn untraced(args: &Args) -> Result<Output, String> {
+    let w = &args.workload;
+    let seq = w.sequence(args.seed, SEQUENCE_LEN);
     let mut off = Tracer::new(false, Instant::now(), "load");
-    // p90 needs P90_MIN_SAMPLES attempts; a slow workload runs on to them.
-    let mut m = measure(args, args.seconds, P90_MIN_SAMPLES, &mut off)?;
-    setups.push(m.setup_s);
+    let mut setups: Vec<f64> = Vec::new();
+    let mut tally = Tally::default();
+    let (mut elapsed_s, mut over_cap) = (0.0, 0);
+    let (mut checked, mut bad, mut violations) = (BTreeSet::new(), Vec::new(), Vec::new());
+    for k in 0..INSTANCES {
+        while setups.iter().sum::<f64>() < SETUP_FLOOR_S * k as f64 / INSTANCES as f64 {
+            setups.push(setup_only(w, args.seed)?);
+        }
+        // Each instance goes on where the last stopped.  p90 needs
+        // P90_MIN_SAMPLES attempts, so a slow workload runs on to them.
+        let load = closed(
+            &seq,
+            tally.attempted(),
+            args.seconds / INSTANCES as f64,
+            P90_MIN_SAMPLES.div_ceil(INSTANCES),
+        );
+        let mut m = instance(w, args.seed, &load, &mut off)?;
+        setups.push(m.setup_s);
+        bad.extend(m.rep.check(&m.tenants, &m.cfg, &mut checked));
+        violations.extend(m.rep.guard_violations(w, &m.tenants));
+        over_cap += m
+            .rep
+            .attempts
+            .iter()
+            .filter(|&&c| over_frame_cap(&m.tenants[c.tenant], c))
+            .count();
+        elapsed_s += m.rep.elapsed_s;
+        tally.append(m.rep.tally);
+    }
     let rss = env::peak_rss_mb();
-    let bad = m.rep.check(&m.tenants, &m.cfg);
 
     let mut out = Output::default();
-    let t = &m.rep.tally;
-    out.put("qps", "1/s", Some(m.rep.qps()));
-    out.put("latency_p50_ms", "ms", t.p50());
-    out.put("latency_p90_ms", "ms", t.p90());
+    out.put("qps", "1/s", Some(tally.completed() as f64 / elapsed_s));
+    out.put("latency_p50_ms", "ms", tally.p50());
+    out.put("latency_p90_ms", "ms", tally.p90());
     out.put("setup_s", "s", median(&setups));
     out.put("peak_rss_mb", "MB", Some(rss));
-    describe(&mut out.notes, "queries", &m.rep);
-    let over_cap = m
-        .rep
-        .attempts
-        .iter()
-        .filter(|c| m.tenants[c.tenant].rows * c.spec().total() * 4 > DEFAULT_MAX_PAYLOAD as usize)
-        .count();
-    if args.workload.transport == Transport::Unix {
+    describe(&mut out.notes, "queries", &tally, elapsed_s);
+    if w.transport == Transport::Unix {
         out.notes.push(format!(
             "results over the {} MiB frame cap: {over_cap} of {} attempted ({:.6})",
             DEFAULT_MAX_PAYLOAD >> 20,
-            t.attempted(),
-            over_cap as f64 / t.attempted().max(1) as f64,
+            tally.attempted(),
+            over_cap as f64 / tally.attempted().max(1) as f64,
         ));
     }
     out.notes.push(format!(
-        "failed_frac {:.6} frac; {} set-ups, {:.4}..{:.4} s",
-        t.failed_frac(),
+        "failed_frac {:.6} frac; {} instances, {} set-ups, {:.4}..{:.4} s",
+        tally.failed_frac(),
+        INSTANCES,
         setups.len(),
         setups.iter().copied().fold(f64::INFINITY, f64::min),
         setups.iter().copied().fold(0.0, f64::max),
     ));
-    for cell in &bad {
-        out.notes.push(format!("WRONG RESULT for {cell:?}"));
-    }
-    out.attempted = t.attempted();
-    out.failed = t.failed();
-    out.correct = bad.is_empty() && t.wrong() == 0;
+    report_problems(&mut out, &bad, &violations);
+    out.attempted = tally.attempted();
+    out.failed = tally.failed();
+    out.correct = bad.is_empty() && violations.is_empty() && tally.wrong() == 0;
     Ok(out)
 }
 
@@ -261,21 +291,24 @@ fn untraced(args: &Args) -> Result<Output, String> {
 /// counts, then the layer ledger.  Reports every per-layer metric.
 fn traced(args: &Args) -> Result<Output, String> {
     let w = &args.workload;
+    let seq = w.sequence(args.seed, SEQUENCE_LEN);
     let half = args.seconds / 2.0;
     let epoch = Instant::now();
     let mut off = Tracer::new(false, epoch, "load");
-    let mut plain = measure(args, half, 0, &mut off)?;
+    let mut plain = instance(w, args.seed, &closed(&seq, 0, half, 0), &mut off)?;
+    let mut checked = BTreeSet::new();
+    let mut bad = plain.rep.check(&plain.tenants, &plain.cfg, &mut checked);
+    let mut violations = plain.rep.guard_violations(w, &plain.tenants);
+    // Each instance and the ledger generate their own copy; free this one.
+    plain.tenants.clear();
 
     let mut load_tr = Tracer::new(true, epoch, "load");
     count_allocations(true);
-    let mut m = measure(args, half, 0, &mut load_tr)?;
+    let mut m = instance(w, args.seed, &closed(&seq, 0, half, 0), &mut load_tr)?;
     count_allocations(false);
-
-    let mut bad = plain.rep.check(&m.tenants, &m.cfg);
-    bad.extend(m.rep.check(&m.tenants, &m.cfg));
-    // The ledger generates its own copy; free these first.
+    bad.extend(m.rep.check(&m.tenants, &m.cfg, &mut checked));
+    violations.extend(m.rep.guard_violations(w, &m.tenants));
     m.tenants.clear();
-    plain.tenants.clear();
 
     let mut ledger_tr = Tracer::new(true, epoch, "ledger");
     let ledger = ledger::run(w, args.seed, &mut ledger_tr)?;
@@ -462,14 +495,17 @@ fn traced(args: &Args) -> Result<Output, String> {
             .map(|(t, p)| t / p - 1.0),
     );
 
-    describe(&mut out.notes, "untraced half", &plain.rep);
-    describe(&mut out.notes, "traced half", &m.rep);
+    describe(
+        &mut out.notes,
+        "untraced half",
+        &plain.rep.tally,
+        plain.rep.elapsed_s,
+    );
+    describe(&mut out.notes, "traced half", &m.rep.tally, m.rep.elapsed_s);
     for (cell, row) in ledger.cells.iter().zip(&ledger.ms) {
         out.notes.push(format!("ledger {cell:?}: {row:.3?} ms"));
     }
-    for cell in &bad {
-        out.notes.push(format!("WRONG RESULT for {cell:?}"));
-    }
+    report_problems(&mut out, &bad, &violations);
     if ledger.mismatches > 0 {
         out.notes.push(format!(
             "WRONG RESULT: {} ledger layer results differ from core",
@@ -488,6 +524,7 @@ fn traced(args: &Args) -> Result<Output, String> {
     out.attempted = m.rep.tally.attempted();
     out.failed = m.rep.tally.failed();
     out.correct = bad.is_empty()
+        && violations.is_empty()
         && ledger.mismatches == 0
         && m.rep.tally.wrong() == 0
         && plain.rep.tally.wrong() == 0;

@@ -48,6 +48,14 @@ impl Tally {
         }
     }
 
+    /// Appends a later instance's attempts to this run's.
+    pub fn append(&mut self, later: Tally) {
+        self.latencies.extend(later.latencies);
+        self.refused += later.refused;
+        self.undeliverable += later.undeliverable;
+        self.wrong += later.wrong;
+    }
+
     fn count(&mut self, why: Failure) {
         match why {
             Failure::Refused => self.refused += 1,
@@ -173,5 +181,12 @@ mod tests {
         assert_eq!((t.attempted(), t.failed(), t.completed()), (10, 4, 6));
         assert_eq!(t.failed_frac(), 0.4);
         assert_eq!(t.wrong(), 2);
+
+        // Pooling instances keeps every count.
+        let mut later = Tally::default();
+        later.complete(2.0);
+        later.fail(Failure::Undeliverable);
+        t.append(later);
+        assert_eq!((t.attempted(), t.failed(), t.undeliverable()), (12, 5, 2));
     }
 }
