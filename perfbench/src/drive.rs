@@ -10,10 +10,7 @@ use rdx_api::{CacheParams, QueryPoll, RowChunkSink, ServeConfig, Session, Ticket
 use rdx_core::strategy::planner::plan_by_cost_with_threads;
 use rdx_core::strategy::DsmPostProjection;
 use rdx_dsm::{DsmRelation, ResultRelation};
-use rdx_net::{
-    ClientError, Frame, NetClient, NetConfig, NetListener, NetStats, SubmitSpec,
-    DEFAULT_MAX_PAYLOAD,
-};
+use rdx_net::{ClientError, Frame, NetClient, NetConfig, NetListener, NetStats, SubmitSpec};
 use rdx_serve::{EngineStats, QueryEngine, QueryStats, RelationId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -100,12 +97,6 @@ pub fn oracle(t: &Tenant, cell: Cell, cfg: &ServeConfig) -> ResultRelation {
         .result
 }
 
-/// Whether `cell`'s result on `t` is larger than the client's frame cap, so
-/// its `Done` frame cannot be delivered over the socket.
-pub fn over_frame_cap(t: &Tenant, cell: Cell) -> bool {
-    t.rows * cell.spec().total() * 4 > DEFAULT_MAX_PAYLOAD as usize
-}
-
 /// A delivered result kept for the byte-for-byte check.
 pub enum Sample {
     Wire(Vec<Vec<i32>>),
@@ -125,8 +116,6 @@ impl Sample {
 #[derive(Default)]
 pub struct LoopReport {
     pub tally: Tally,
-    /// The cell of each attempt, in tally order.
-    pub attempts: Vec<Cell>,
     /// First delivered result per cell, with its tally index.
     pub samples: BTreeMap<Cell, (usize, Sample)>,
     pub delivered: usize,
@@ -175,28 +164,18 @@ impl LoopReport {
 
     /// The workload's invariants, broken by a run that reports `correct`
     /// numbers for the wrong reason:
-    /// - the failed attempts are exactly those whose result is over the
-    ///   frame cap on a socket workload (none in process), so nothing fails
-    ///   for another reason and no over-cap query slips through;
+    /// - every attempt of the measured loop completes (its sequence never
+    ///   draws a result over the frame cap), so nothing is refused or lost;
     /// - a warm workload's every delivered result is a cluster-cache hit,
     ///   and a cold one's none.
-    pub fn guard_violations(&self, w: &Workload, tenants: &[Tenant]) -> Vec<String> {
+    pub fn guard_violations(&self, w: &Workload) -> Vec<String> {
         let mut out = Vec::new();
-        let wire = w.transport == Transport::Unix;
-        let unexpected = self
-            .attempts
-            .iter()
-            .enumerate()
-            .filter(|&(i, &c)| {
-                let must_fail = wire && over_frame_cap(&tenants[c.tenant], c);
-                self.tally.latency(i).is_none() != must_fail
-            })
-            .count();
-        if unexpected > 0 {
+        let (refused, lost) = (self.tally.refused(), self.tally.undeliverable());
+        if refused + lost > 0 {
             out.push(format!(
-                "{unexpected} of {} attempts failed where an over-cap result was not the \
-                 cause, or completed where it should have failed",
-                self.attempts.len()
+                "{refused} refused and {lost} undeliverable of {} attempts; every query \
+                 of the measured loop must complete",
+                self.tally.attempted()
             ));
         }
         let hits_wanted = if w.warm_cache { self.delivered } else { 0 };
@@ -213,7 +192,6 @@ impl LoopReport {
 
     /// Records a delivered result whose shape has been checked.
     fn deliver(&mut self, cell: Cell, latency_ms: f64, ok: bool, sample: Sample) {
-        self.attempts.push(cell);
         if !ok {
             self.tally.fail(Failure::Wrong);
             return;
@@ -223,8 +201,7 @@ impl LoopReport {
         self.samples.entry(cell).or_insert((index, sample));
     }
 
-    fn fail(&mut self, cell: Cell, why: Failure) {
-        self.attempts.push(cell);
+    fn fail(&mut self, why: Failure) {
         self.tally.fail(why);
     }
 }
@@ -337,7 +314,7 @@ pub fn inproc_loop(
                     rep.stats.push(result.stats);
                     rep.deliver(slot.cell, ms, ok, Sample::Local(result.result));
                 }
-                QueryPoll::Rejected(_) => rep.fail(slot.cell, Failure::Refused),
+                QueryPoll::Rejected(_) => rep.fail(Failure::Refused),
             }
             tracer.close(slot.span);
             last = Instant::now();
@@ -554,7 +531,7 @@ fn wire_loop(
                         Err(e) => {
                             tracer.close(span);
                             last = Instant::now();
-                            rep.fail(cell, failure_of(&e));
+                            rep.fail(failure_of(&e));
                             reconnect_after(&e, slot, path);
                         }
                     }
@@ -582,16 +559,16 @@ fn wire_loop(
                         }
                         Ok(Frame::Rejected { .. }) => {
                             tracer.close_as(poll, "net.poll.done");
-                            rep.fail(o.cell, Failure::Refused);
+                            rep.fail(Failure::Refused);
                         }
                         Ok(_) => {
                             tracer.close_as(poll, "net.poll.failed");
-                            rep.fail(o.cell, Failure::Undeliverable);
+                            rep.fail(Failure::Undeliverable);
                             slot.client = reconnect(path);
                         }
                         Err(e) => {
                             tracer.close_as(poll, "net.poll.failed");
-                            rep.fail(o.cell, failure_of(&e));
+                            rep.fail(failure_of(&e));
                             reconnect_after(&e, slot, path);
                         }
                     }
@@ -696,70 +673,53 @@ mod tests {
         assert!(checked.contains(&cell));
     }
 
-    /// `tiny`'s tenant, claiming `rows` result rows so `over_frame_cap`
-    /// sees a 1M-row tenant.
-    fn tenant_with_rows(rows: usize) -> Vec<Tenant> {
-        let (mut tenants, _) = tiny();
-        tenants[0].rows = rows;
-        tenants
-    }
-
     fn workload(name: &str) -> Workload {
         crate::mix::find(name).unwrap()
     }
 
     #[test]
-    fn only_over_cap_results_may_fail_on_the_socket() {
-        let w = workload("wire_warm_zipf");
-        let tenants = tenant_with_rows(1_000_000);
-        let (small, big) = (Cell { tenant: 0, pi: 1 }, Cell { tenant: 0, pi: 3 });
-        assert!(!over_frame_cap(&tenants[0], small) && over_frame_cap(&tenants[0], big));
+    fn no_attempt_of_the_measured_loop_may_fail() {
+        let cell = Cell { tenant: 0, pi: 1 };
+        for w in crate::mix::WORKLOADS {
+            let mut rep = LoopReport::default();
+            rep.deliver(cell, 1.0, true, Sample::Wire(Vec::new()));
+            rep.cache_hits = usize::from(w.warm_cache);
+            assert!(rep.guard_violations(&w).is_empty(), "{}", w.name);
 
-        let mut rep = LoopReport::default();
-        rep.deliver(small, 1.0, true, Sample::Wire(Vec::new()));
-        rep.cache_hits = 1;
-        rep.fail(big, Failure::Undeliverable);
-        assert!(rep.guard_violations(&w, &tenants).is_empty());
-
-        // A query that fails although its result fits breaks the guard...
-        let mut lost = LoopReport::default();
-        lost.fail(small, Failure::Undeliverable);
-        assert_eq!(lost.guard_violations(&w, &tenants).len(), 1);
-        // ...and so does an over-cap result that was delivered after all.
-        let mut slipped = LoopReport::default();
-        slipped.deliver(big, 1.0, true, Sample::Wire(Vec::new()));
-        slipped.cache_hits = 1;
-        assert_eq!(slipped.guard_violations(&w, &tenants).len(), 1);
-        // In process there is no frame cap: nothing may fail.
-        let cold = workload("inproc_cold_budget");
-        assert_eq!(rep.guard_violations(&cold, &tenants).len(), 2);
+            // A typed refusal breaks the guard...
+            let mut refused = LoopReport::default();
+            refused.fail(Failure::Refused);
+            assert_eq!(refused.guard_violations(&w).len(), 1, "{}", w.name);
+            // ...and so does a result that never reached the client.
+            let mut lost = LoopReport::default();
+            lost.fail(Failure::Undeliverable);
+            assert_eq!(lost.guard_violations(&w).len(), 1, "{}", w.name);
+        }
     }
 
     #[test]
     fn a_warm_workload_must_hit_the_cache_on_every_result() {
         let w = workload("wire_small_hot");
-        let tenants = tenant_with_rows(500);
         let cell = Cell { tenant: 0, pi: 1 };
         let mut rep = LoopReport::default();
         for _ in 0..3 {
             rep.deliver(cell, 1.0, true, Sample::Wire(Vec::new()));
         }
         rep.cache_hits = 3;
-        assert!(rep.guard_violations(&w, &tenants).is_empty());
+        assert!(rep.guard_violations(&w).is_empty());
         rep.cache_hits = 2;
-        assert_eq!(rep.guard_violations(&w, &tenants).len(), 1);
+        assert_eq!(rep.guard_violations(&w).len(), 1);
     }
 
     #[test]
     fn a_cold_workload_must_never_hit_the_cache() {
         let w = workload("inproc_cold_budget");
-        let tenants = tenant_with_rows(500);
         let cell = Cell { tenant: 0, pi: 1 };
         let mut rep = LoopReport::default();
         rep.deliver(cell, 1.0, true, Sample::Wire(Vec::new()));
-        assert!(rep.guard_violations(&w, &tenants).is_empty());
+        assert!(rep.guard_violations(&w).is_empty());
         rep.cache_hits = 1;
-        assert_eq!(rep.guard_violations(&w, &tenants).len(), 1);
+        assert_eq!(rep.guard_violations(&w).len(), 1);
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct Ledger {
     pub steps_ms: Vec<f64>,
     /// Results from exec, serve or api that differ from core.
     pub mismatches: usize,
+    /// Cells the net layer could not deliver: those over the client's frame
+    /// cap, which the measured loop never draws.
+    pub net_failed: Vec<Cell>,
     /// The net layer's own loop and server reports.
     pub net: LoopReport,
     pub net_server: ServerReport,
@@ -184,12 +187,18 @@ pub fn run(w: &Workload, seed: u64, tracer: &mut Tracer) -> Result<Ledger, Strin
             ms[i][4] = Some(median_of(v));
         }
     }
+    let net_failed = cells
+        .iter()
+        .zip(&failed)
+        .filter_map(|(&c, &f)| f.then_some(c))
+        .collect();
     Ok(Ledger {
         cells,
         ms,
         serve_stats,
         steps_ms,
         mismatches,
+        net_failed,
         net,
         net_server,
     })

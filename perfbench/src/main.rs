@@ -22,10 +22,7 @@ mod mix;
 mod tally;
 mod trace;
 
-use drive::{
-    inproc_instance, over_frame_cap, setup_only, wire_instance, Load, LoopReport, ServerReport,
-    OUT_DIR,
-};
+use drive::{inproc_instance, setup_only, wire_instance, Load, LoopReport, ServerReport, OUT_DIR};
 use mix::{Transport, Workload};
 use rdx_net::DEFAULT_MAX_PAYLOAD;
 use std::collections::BTreeSet;
@@ -228,7 +225,7 @@ fn untraced(args: &Args) -> Result<Output, String> {
     let mut off = Tracer::new(false, Instant::now(), "load");
     let mut setups: Vec<f64> = Vec::new();
     let mut tally = Tally::default();
-    let (mut elapsed_s, mut over_cap) = (0.0, 0);
+    let (mut elapsed_s, mut instance_qps) = (0.0, Vec::new());
     let (mut checked, mut bad, mut violations) = (BTreeSet::new(), Vec::new(), Vec::new());
     for k in 0..INSTANCES {
         while setups.iter().sum::<f64>() < SETUP_FLOOR_S * k as f64 / INSTANCES as f64 {
@@ -245,33 +242,23 @@ fn untraced(args: &Args) -> Result<Output, String> {
         let mut m = instance(w, args.seed, &load, &mut off)?;
         setups.push(m.setup_s);
         bad.extend(m.rep.check(&m.tenants, &m.cfg, &mut checked));
-        violations.extend(m.rep.guard_violations(w, &m.tenants));
-        over_cap += m
-            .rep
-            .attempts
-            .iter()
-            .filter(|&&c| over_frame_cap(&m.tenants[c.tenant], c))
-            .count();
+        violations.extend(m.rep.guard_violations(w));
+        instance_qps.push(m.rep.qps());
         elapsed_s += m.rep.elapsed_s;
         tally.append(m.rep.tally);
     }
     let rss = env::peak_rss_mb();
 
     let mut out = Output::default();
-    out.put("qps", "1/s", Some(tally.completed() as f64 / elapsed_s));
+    // The median instance: a host stall in one instance does not move it.
+    out.put("qps", "1/s", median(&instance_qps));
     out.put("latency_p50_ms", "ms", tally.p50());
     out.put("latency_p90_ms", "ms", tally.p90());
     out.put("setup_s", "s", median(&setups));
     out.put("peak_rss_mb", "MB", Some(rss));
     describe(&mut out.notes, "queries", &tally, elapsed_s);
-    if w.transport == Transport::Unix {
-        out.notes.push(format!(
-            "results over the {} MiB frame cap: {over_cap} of {} attempted ({:.6})",
-            DEFAULT_MAX_PAYLOAD >> 20,
-            tally.attempted(),
-            over_cap as f64 / tally.attempted().max(1) as f64,
-        ));
-    }
+    out.notes
+        .push(format!("qps per instance: {instance_qps:.2?}"));
     out.notes.push(format!(
         "failed_frac {:.6} frac; {} instances, {} set-ups, {:.4}..{:.4} s",
         tally.failed_frac(),
@@ -298,7 +285,7 @@ fn traced(args: &Args) -> Result<Output, String> {
     let mut plain = instance(w, args.seed, &closed(&seq, 0, half, 0), &mut off)?;
     let mut checked = BTreeSet::new();
     let mut bad = plain.rep.check(&plain.tenants, &plain.cfg, &mut checked);
-    let mut violations = plain.rep.guard_violations(w, &plain.tenants);
+    let mut violations = plain.rep.guard_violations(w);
     // Each instance and the ledger generate their own copy; free this one.
     plain.tenants.clear();
 
@@ -307,11 +294,16 @@ fn traced(args: &Args) -> Result<Output, String> {
     let mut m = instance(w, args.seed, &closed(&seq, 0, half, 0), &mut load_tr)?;
     count_allocations(false);
     bad.extend(m.rep.check(&m.tenants, &m.cfg, &mut checked));
-    violations.extend(m.rep.guard_violations(w, &m.tenants));
+    violations.extend(m.rep.guard_violations(w));
     m.tenants.clear();
 
     let mut ledger_tr = Tracer::new(true, epoch, "ledger");
     let ledger = ledger::run(w, args.seed, &mut ledger_tr)?;
+    // The ledger's net layer runs every cell, the over-cap ones too: those
+    // are the only ones it may fail to deliver.
+    for cell in ledger.net_failed.iter().filter(|&&c| !w.over_frame_cap(c)) {
+        violations.push(format!("ledger net layer could not deliver {cell:?}"));
+    }
 
     let mut out = Output::default();
     let wire = w.transport == Transport::Unix;
@@ -373,6 +365,11 @@ fn traced(args: &Args) -> Result<Output, String> {
         "net.undeliverable",
         "count",
         Some(nrep.tally.undeliverable() as f64),
+    );
+    out.put(
+        "net.over_cap_refused",
+        "count",
+        Some(ledger.net_failed.len() as f64),
     );
     out.put("net.poll_cycle_us_p50", "us", ms_to(&nsrv.cycles_ms, 1e3));
     out.put(
@@ -504,6 +501,13 @@ fn traced(args: &Args) -> Result<Output, String> {
     describe(&mut out.notes, "traced half", &m.rep.tally, m.rep.elapsed_s);
     for (cell, row) in ledger.cells.iter().zip(&ledger.ms) {
         out.notes.push(format!("ledger {cell:?}: {row:.3?} ms"));
+    }
+    if !ledger.net_failed.is_empty() {
+        out.notes.push(format!(
+            "over the {} MiB frame cap, refused at the ledger's net layer: {:?}",
+            DEFAULT_MAX_PAYLOAD >> 20,
+            ledger.net_failed
+        ));
     }
     report_problems(&mut out, &bad, &violations);
     if ledger.mismatches > 0 {

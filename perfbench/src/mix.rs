@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use rdx_api::{CacheParams, MemoryBudget, QuerySpec, ServeConfig};
+use rdx_net::DEFAULT_MAX_PAYLOAD;
 use rdx_serve::FairnessPolicy;
 use rdx_workload::{MixConfig, QueryMix, Zipf};
 
@@ -116,7 +117,17 @@ impl Workload {
         }
     }
 
-    /// Every `(tenant, π)` the workload can draw, `π` in `1..=ω`.
+    /// Whether `cell`'s result is larger than the client's frame cap on a
+    /// socket workload, so its `Done` frame cannot be delivered.  Every
+    /// tenant's join returns N rows (hit rate 1).
+    pub fn over_frame_cap(&self, cell: Cell) -> bool {
+        let rows = self.tenants[cell.tenant].0;
+        self.transport == Transport::Unix
+            && rows * cell.spec().total() * 4 > DEFAULT_MAX_PAYLOAD as usize
+    }
+
+    /// Every `(tenant, π)` of the workload, `π` in `1..=ω`, including the
+    /// over-frame-cap cells the measured loop never draws.
     pub fn cells(&self) -> Vec<Cell> {
         self.tenants
             .iter()
@@ -130,15 +141,23 @@ impl Workload {
     /// Tenants are interleaved by a smooth weighted round robin over their
     /// zipf (s = 1) weights, so every window of the sequence holds each
     /// tenant in its zipf share to within one query; a tenant's `π` cycles
-    /// `1..=ω` across its queries.  The seed picks where in the cycle a run
-    /// starts.  Runs on different seeds thus do the same mix of work, so
-    /// their spread is the host's, not the draw's.
+    /// over the widths in `1..=ω` whose result fits the frame cap.  The
+    /// seed picks where in the cycle a run starts.  Runs on different seeds
+    /// thus do the same mix of work, so their spread is the host's, not the
+    /// draw's.
     pub fn sequence(&self, seed: u64, len: usize) -> Vec<Cell> {
         let zipf = Zipf::new(self.tenants.len(), 1.0);
         let weight: Vec<f64> = (0..self.tenants.len())
             .map(|t| zipf.probability(t))
             .collect();
         let skip = (StdRng::seed_from_u64(seed).next_u64() % PERIOD) as usize;
+        let widths: Vec<Vec<usize>> = (0..self.tenants.len())
+            .map(|tenant| {
+                (1..=self.tenants[tenant].1)
+                    .filter(|&pi| !self.over_frame_cap(Cell { tenant, pi }))
+                    .collect()
+            })
+            .collect();
         let mut credit = vec![0.0; self.tenants.len()];
         let mut drawn = vec![0usize; self.tenants.len()];
         let mut out = Vec::with_capacity(len);
@@ -150,10 +169,10 @@ impl Workload {
                 .max_by(|&a, &b| credit[a].total_cmp(&credit[b]).then(b.cmp(&a)))
                 .unwrap_or(0);
             credit[tenant] -= 1.0;
-            let omega = self.tenants[tenant].1;
+            let pis = &widths[tenant];
             let cell = Cell {
                 tenant,
-                pi: 1 + drawn[tenant] % omega,
+                pi: pis[drawn[tenant] % pis.len()],
             };
             drawn[tenant] += 1;
             if i >= skip {
@@ -167,6 +186,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn sequence_is_a_pure_function_of_the_seed() {
@@ -190,8 +210,9 @@ mod tests {
                 );
             }
         }
-        // π cycles through the tenant's widths.
-        let pis: Vec<usize> = w
+        // In process, π cycles through all the tenant's widths.
+        let cold = find("inproc_cold_budget").unwrap();
+        let pis: Vec<usize> = cold
             .sequence(0, 200)
             .iter()
             .filter(|c| c.tenant == 4)
@@ -202,5 +223,31 @@ mod tests {
         sorted.sort();
         assert_eq!(sorted, vec![1, 2, 3, 4]);
         assert_eq!(pis[..4], pis[4..]);
+    }
+
+    #[test]
+    fn the_socket_loop_never_draws_an_over_cap_result() {
+        let w = find("wire_warm_zipf").unwrap();
+        // The 1M x 4 tenant's π = 3 and 4 give 24 and 32 MB results.
+        let over: Vec<Cell> = w
+            .cells()
+            .into_iter()
+            .filter(|&c| w.over_frame_cap(c))
+            .collect();
+        assert_eq!(
+            over,
+            vec![Cell { tenant: 4, pi: 3 }, Cell { tenant: 4, pi: 4 }]
+        );
+        for seed in 0..20 {
+            let seq = w.sequence(seed, 1000);
+            assert!(seq.iter().all(|&c| !w.over_frame_cap(c)), "seed {seed}");
+            // The tenant keeps its zipf share; its π cycles over the widths
+            // that fit.
+            let pis: BTreeSet<usize> = seq.iter().filter(|c| c.tenant == 4).map(|c| c.pi).collect();
+            assert_eq!(pis, BTreeSet::from([1, 2]));
+        }
+        // In process there is no frame cap.
+        let cold = find("inproc_cold_budget").unwrap();
+        assert!(cold.cells().iter().all(|&c| !cold.over_frame_cap(c)));
     }
 }
