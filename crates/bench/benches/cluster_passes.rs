@@ -4,8 +4,7 @@
 //! too many output cursors thrashes the TLB and caches; two passes of B/2 bits
 //! each trade an extra sequential sweep for cache-resident cursor sets.  This
 //! bench measures exactly that trade-off, plus the `w = 32` window-rule
-//! ablation for Radix-Decluster (DESIGN.md calls both out as the design
-//! choices worth ablating).
+//! ablation for Radix-Decluster.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdx_bench::measure::make_decluster_input;

@@ -1,5 +1,5 @@
 //! Figure-reproduction harness: one subcommand per table/figure of the
-//! paper's evaluation (see DESIGN.md §4 for the experiment index).
+//! paper's §4 evaluation (the list below is the experiment index).
 //!
 //! ```text
 //! cargo run --release -p rdx-bench --bin figures -- <figure> [--scale small|medium|paper] [--sparse]
@@ -8,9 +8,9 @@
 //! ```
 //!
 //! Every subcommand prints the same rows/series the corresponding paper figure
-//! plots.  Absolute milliseconds belong to this host; the shapes (orderings,
-//! crossovers, knee positions) are what EXPERIMENTS.md compares against the
-//! paper.
+//! plots.  Absolute milliseconds belong to the host that runs them; the
+//! shapes (orderings, crossovers, knee positions) are what to compare
+//! against the paper.
 
 use rdx_bench::measure::*;
 use rdx_bench::table::ms;

@@ -1,9 +1,9 @@
 //! # rdx-bench — shared pieces of the figure-reproduction harness
 //!
-//! The `figures` binary (one subcommand per table/figure of the paper's
-//! evaluation, see DESIGN.md §4) and the Criterion benches both build on the
-//! helpers here: scale presets, timed single-figure measurement routines and a
-//! small fixed-width table printer.
+//! The `figures` binary (one subcommand per table/figure of the paper's §4
+//! evaluation) and the Criterion benches both build on the helpers here:
+//! scale presets, timed single-figure measurement routines and a small
+//! fixed-width table printer.
 //!
 //! Absolute milliseconds will differ from the paper's 2.2 GHz Pentium 4; what
 //! the harness reproduces is the *shape* of every figure — who wins, where the

@@ -1,7 +1,7 @@
 //! A tiny fixed-width table printer for the figure harness.
 
-/// Collects rows of strings and prints them with aligned columns, the way the
-/// paper's tables/series are reported in EXPERIMENTS.md.
+/// Collects rows of strings and prints them with aligned columns, one row per
+/// point of the paper's tables/series.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
     header: Vec<String>,

@@ -23,6 +23,9 @@
 //!   ranges per worker, cursors recovered by binary search.  Byte-identical
 //!   to the sequential kernel.
 //! * [`join`] — parallel Partitioned Hash-Join over independent partitions.
+//! * [`gather`] — the positional join's per-morsel [`Gather`]: a DSM
+//!   relation resolves the attribute once per morsel and copies by index;
+//!   [`PerValue`] adapts a per-value fetch (NSM records).
 //! * [`pipeline`] — the memory-budgeted **streaming** projection pipeline:
 //!   cluster → decluster → fetch in chunks sized by an explicit
 //!   [`rdx_core::budget::MemoryBudget`], emitting through a
@@ -47,6 +50,7 @@
 
 pub mod cluster;
 pub mod decluster;
+pub mod gather;
 pub mod join;
 pub mod pipeline;
 pub mod pool;
@@ -57,6 +61,7 @@ pub use cluster::{
     par_radix_cluster_with_scratch, par_radix_sort_oids, ParClusterScratch,
 };
 pub use decluster::{par_radix_decluster, par_radix_decluster_into};
+pub use gather::{Gather, PerValue};
 pub use join::par_partitioned_hash_join;
 pub use pipeline::{
     cluster_plan_for, cluster_spec_for, dsm_cluster_spec, BoxedFetch, ChunkScratch, DsmPipelineRun,

@@ -43,6 +43,7 @@
 
 use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::decluster::par_radix_decluster_into;
+use crate::gather::{Gather, PerValue};
 use crate::join::par_partitioned_hash_join;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
 use crate::strategy::{par_order_join_index, par_project_columns_into};
@@ -452,11 +453,12 @@ fn per_chunk_prediction_ns(
     ((total_ms / plan.num_chunks.max(1) as f64) * 1e6) as u64
 }
 
-/// A boxed attribute fetcher `(oid, attr) → value`, the type-erased form the
-/// serving layer uses so runs over different storage models are homogeneous.
-pub type BoxedFetch<'a> = Box<dyn Fn(Oid, usize) -> i32 + Sync + 'a>;
+/// A boxed attribute [`Gather`], the type-erased form the serving layer uses
+/// so runs over different storage models are homogeneous: one virtual call
+/// per morsel, never per value.
+pub type BoxedFetch<'a> = Box<dyn Gather + 'a>;
 
-/// A [`PipelineRun`] over boxed fetchers (what [`PipelineRun::over_dsm`]
+/// A [`PipelineRun`] over boxed gathers (what [`PipelineRun::over_dsm`]
 /// returns).
 pub type DsmPipelineRun<'a> = PipelineRun<BoxedFetch<'a>, BoxedFetch<'a>>;
 
@@ -493,15 +495,15 @@ pub struct PipelineRun<FL, FS> {
 
 impl<FL, FS> PipelineRun<FL, FS>
 where
-    FL: Fn(Oid, usize) -> i32 + Sync,
-    FS: Fn(Oid, usize) -> i32 + Sync,
+    FL: Gather,
+    FS: Gather,
 {
     /// A run over a prepared prefix, with the chunking planned from the
     /// policy's budget.
     ///
     /// # Panics
-    /// Panics if the query asks for more projection columns than the fetch
-    /// closures can serve (checked by the callers that know the relations).
+    /// Panics if the query asks for more projection columns than the
+    /// gathers can serve (checked by the callers that know the relations).
     pub fn new(
         prepared: Arc<PreparedProjection>,
         fetch_larger: FL,
@@ -873,13 +875,10 @@ where
                 {
                     // On-demand clustered positional join: the chunk's
                     // CLUST_VALUES, never the whole column.
-                    let fetch = &self.fetch_smaller;
+                    let source = &self.fetch_smaller;
                     let local_oids = &scratch.local_oids;
                     for_each_output_morsel(staged, &self.policy, |off, slots| {
-                        let oids = &local_oids[off..off + slots.len()];
-                        for (slot, &oid) in slots.iter_mut().zip(oids) {
-                            *slot = fetch(oid, b);
-                        }
+                        source.gather(b, &local_oids[off..off + slots.len()], slots);
                     });
                     column.resize(rows, 0);
                     par_radix_decluster_into(
@@ -1137,8 +1136,8 @@ impl<'a> DsmPipelineRun<'a> {
         );
         PipelineRun::new(
             prepared,
-            Box::new(move |oid, a| larger.attr(a).value(oid as usize)),
-            Box::new(move |oid, b| smaller.attr(b).value(oid as usize)),
+            Box::new(larger),
+            Box::new(smaller),
             spec,
             params,
             policy,
@@ -1175,8 +1174,8 @@ impl DsmPipelineRun<'static> {
         );
         PipelineRun::new(
             prepared,
-            Box::new(move |oid, a| larger.attr(a).value(oid as usize)),
-            Box::new(move |oid, b| smaller.attr(b).value(oid as usize)),
+            Box::new(larger),
+            Box::new(smaller),
             spec,
             params,
             policy,
@@ -1373,8 +1372,8 @@ impl ProjectionPipeline {
         ));
         let mut run = PipelineRun::new(
             prepared,
-            |oid: Oid, a: usize| larger.value(oid as usize, a + 1),
-            |oid: Oid, b: usize| smaller.value(oid as usize, b + 1),
+            PerValue(|oid: Oid, a: usize| larger.value(oid as usize, a + 1)),
+            PerValue(|oid: Oid, b: usize| smaller.value(oid as usize, b + 1)),
             spec,
             params,
             policy,

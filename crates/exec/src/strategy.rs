@@ -22,6 +22,7 @@
 
 use crate::cluster::{par_radix_cluster_oids_with_scratch, ParClusterScratch};
 use crate::decluster::par_radix_decluster;
+use crate::gather::{Gather, PerValue};
 use crate::join::par_partitioned_hash_join;
 use crate::pool::{for_each_output_morsel, ExecPolicy};
 use rdx_cache::CacheParams;
@@ -87,18 +88,15 @@ pub fn par_order_join_index(
 }
 
 /// Morsel-parallel positional joins: projects `n_attrs` columns by gathering
-/// `fetch(oids[r], attr)` for every result row `r`.
-pub fn par_project_columns<F>(
+/// attribute `a` of `oids[r]` for every result row `r`.
+pub fn par_project_columns<G: Gather>(
     oids: &[Oid],
     n_attrs: usize,
-    fetch: F,
+    source: G,
     policy: &ExecPolicy,
-) -> Vec<Vec<i32>>
-where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) -> Vec<Vec<i32>> {
     let mut columns: Vec<Vec<i32>> = (0..n_attrs).map(|_| Vec::new()).collect();
-    par_project_columns_into(oids, fetch, policy, &mut columns);
+    par_project_columns_into(oids, source, policy, &mut columns);
     columns
 }
 
@@ -106,22 +104,17 @@ where
 /// resized to `oids.len()` (keeping its capacity) and filled in place, so a
 /// caller projecting chunk after chunk allocates nothing once the buffers
 /// have grown — the streaming pipeline's steady state.  Column `b` is
-/// filled with `fetch(oid, b)`.
-pub fn par_project_columns_into<F>(
+/// filled with attribute `b`, one [`Gather::gather`] call per morsel.
+pub fn par_project_columns_into<G: Gather>(
     oids: &[Oid],
-    fetch: F,
+    source: G,
     policy: &ExecPolicy,
     columns: &mut [Vec<i32>],
-) where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) {
     for (attr, column) in columns.iter_mut().enumerate() {
         column.resize(oids.len(), 0);
         for_each_output_morsel(column, policy, |offset, chunk| {
-            let oids = &oids[offset..offset + chunk.len()];
-            for (slot, &oid) in chunk.iter_mut().zip(oids) {
-                *slot = fetch(oid, attr);
-            }
+            source.gather(attr, &oids[offset..offset + chunk.len()], chunk);
         });
     }
 }
@@ -129,18 +122,15 @@ pub fn par_project_columns_into<F>(
 /// Parallel second-side Radix-Decluster pipeline (Fig. 4): parallel partial
 /// cluster, morsel-parallel clustered positional join, parallel decluster.
 /// The insertion window is sized to each worker's cache share.
-pub fn par_project_second_side_decluster<F>(
+pub fn par_project_second_side_decluster<G: Gather>(
     second_oids_in_result_order: &[Oid],
     n_attrs: usize,
-    fetch: F,
+    source: G,
     second_cardinality: usize,
     value_width: usize,
     params: &CacheParams,
     policy: &ExecPolicy,
-) -> (Vec<Vec<i32>>, usize)
-where
-    F: Fn(Oid, usize) -> i32 + Sync,
-{
+) -> (Vec<Vec<i32>>, usize) {
     let n = second_oids_in_result_order.len();
     let (spec, mode) =
         plan_partial_cluster(second_cardinality, value_width, OID_PAIR_BYTES, params);
@@ -163,11 +153,7 @@ where
         .map(|attr| {
             let mut clust_values = vec![0i32; n];
             for_each_output_morsel(&mut clust_values, policy, |offset, chunk| {
-                let len = chunk.len();
-                let keys = &clustered.keys()[offset..offset + len];
-                for (slot, &oid) in chunk.iter_mut().zip(keys) {
-                    *slot = fetch(oid, attr);
-                }
+                source.gather(attr, &clustered.keys()[offset..offset + chunk.len()], chunk);
             });
             par_radix_decluster(
                 &clust_values,
@@ -230,24 +216,14 @@ pub fn par_dsm_post_projection(
 
     // Phase 2b: project the first side.
     let t = Instant::now();
-    let first_columns = par_project_columns(
-        &first_oids,
-        spec.project_larger,
-        |oid, a| larger.attr(a).value(oid as usize),
-        policy,
-    );
+    let first_columns = par_project_columns(&first_oids, spec.project_larger, larger, policy);
     timings.project_larger = t.elapsed();
 
     // Phase 3: project the second side.
     let t = Instant::now();
     let second_columns = match plan.second_side {
         SecondSideCode::Unsorted => {
-            let cols = par_project_columns(
-                &second_oids,
-                spec.project_smaller,
-                |oid, b| smaller.attr(b).value(oid as usize),
-                policy,
-            );
+            let cols = par_project_columns(&second_oids, spec.project_smaller, smaller, policy);
             timings.project_smaller = t.elapsed();
             cols
         }
@@ -255,7 +231,7 @@ pub fn par_dsm_post_projection(
             let (cols, _clusters) = par_project_second_side_decluster(
                 &second_oids,
                 spec.project_smaller,
-                |oid, b| smaller.attr(b).value(oid as usize),
+                smaller,
                 smaller.cardinality(),
                 VALUE_WIDTH,
                 params,
@@ -326,7 +302,7 @@ pub fn par_nsm_post_projection_decluster(
     let first_columns = par_project_columns(
         &first_oids,
         spec.project_larger,
-        |oid, a| larger.value(oid as usize, a + 1),
+        PerValue(|oid, a| larger.value(oid as usize, a + 1)),
         policy,
     );
     timings.project_larger = t.elapsed();
@@ -335,7 +311,7 @@ pub fn par_nsm_post_projection_decluster(
     let (second_columns, _clusters) = par_project_second_side_decluster(
         &second_oids,
         spec.project_smaller,
-        |oid, b| smaller.value(oid as usize, b + 1),
+        PerValue(|oid, b| smaller.value(oid as usize, b + 1)),
         smaller.cardinality(),
         smaller.tuple_bytes(),
         params,

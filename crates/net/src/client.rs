@@ -3,12 +3,17 @@
 //! any async machinery.
 
 use crate::server::NetStream;
-use crate::wire::{decode_frame, encode_frame, Frame, SubmitSpec, WireError, WireReport};
+use crate::wire::{
+    decode_frame, encode_frame, frame_len, Frame, SubmitSpec, WireError, WireReport,
+};
 use rdx_core::error::RdxError;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::time::Duration;
+
+/// Largest read the client issues while it waits for a frame header.
+const READ_CHUNK: usize = 4096;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -105,16 +110,39 @@ impl NetClient {
     }
 
     /// Blocks until the next complete frame arrives.
+    ///
+    /// Until a frame's header is in hand the client reads up to 4 KiB at a
+    /// time; once it is, the buffer is grown once to the frame's exact size
+    /// and the rest of the body is read straight into it — no staging copy,
+    /// no regrowth per doubling.  The decoder has checked the header by
+    /// then, so a hostile length is refused before the buffer grows to meet
+    /// it.
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
         loop {
             if let Some((frame, consumed)) = decode_frame(&self.inbound, self.max_payload)? {
                 self.inbound.drain(..consumed);
                 return Ok(frame);
             }
-            let mut buf = [0u8; 4096];
-            match self.stream.read(&mut buf) {
+            let len = self.inbound.len();
+            let read = match frame_len(&self.inbound) {
+                Some(total) => {
+                    let rest = total - len;
+                    self.inbound.reserve_exact(rest);
+                    (&mut self.stream)
+                        .take(rest as u64)
+                        .read_to_end(&mut self.inbound)
+                }
+                None => {
+                    // Fewer than HEADER_LEN bytes are buffered.
+                    self.inbound.resize(READ_CHUNK, 0);
+                    let read = self.stream.read(&mut self.inbound[len..]);
+                    self.inbound.truncate(len + read.as_ref().map_or(0, |&n| n));
+                    read
+                }
+            };
+            match read {
                 Ok(0) => return Err(ClientError::Disconnected),
-                Ok(n) => self.inbound.extend_from_slice(&buf[..n]),
+                Ok(_) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(ClientError::Io(e)),
             }

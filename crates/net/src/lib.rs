@@ -34,6 +34,6 @@ pub mod wire;
 pub use client::{ClientError, NetClient};
 pub use server::{NetConfig, NetListener, NetServer, NetStats, NetStream, NO_TICKET};
 pub use wire::{
-    decode_frame, encode_frame, Frame, SubmitSpec, WireError, WireReport, DEFAULT_MAX_PAYLOAD,
-    HEADER_LEN, MAGIC, WIRE_VERSION,
+    decode_frame, encode_done, encode_frame, Frame, SubmitSpec, WireError, WireReport,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, WIRE_VERSION,
 };

@@ -17,7 +17,7 @@
 //! and the engine all survive.
 
 use crate::wire::{
-    decode_frame, encode_frame, Frame, SubmitSpec, WireReport, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
+    decode_frame, encode_done, encode_frame, Frame, SubmitSpec, DEFAULT_MAX_PAYLOAD, WIRE_VERSION,
 };
 use rdx_core::budget::MemoryBudget;
 use rdx_core::error::RdxError;
@@ -479,6 +479,11 @@ impl NetServer {
     fn enqueue(&mut self, idx: usize, frame: &Frame) {
         let mut bytes = Vec::new();
         encode_frame(frame, &mut bytes);
+        self.enqueue_bytes(idx, bytes);
+    }
+
+    /// Queues one already-encoded frame.
+    fn enqueue_bytes(&mut self, idx: usize, bytes: Vec<u8>) {
         self.conns[idx].outbound.push_back(bytes);
         self.stats.frames_out += 1;
     }
@@ -609,19 +614,19 @@ impl NetServer {
                         outcome: Ok(result),
                         ..
                     }) => {
-                        let report = WireReport {
-                            rows: result.stats.rows as u64,
-                            chunks: result.stats.chunks as u64,
-                            cache_hit: result.stats.cache_hit,
-                            share_bytes: result.stats.share_bytes as u64,
-                            columns: result
-                                .result
-                                .columns()
-                                .iter()
-                                .map(|c| c.as_slice().to_vec())
-                                .collect(),
-                        };
-                        self.enqueue(idx, &Frame::Done { ticket, report });
+                        // Encoded straight from the result's columns: one
+                        // copy of each value, into an exactly sized frame.
+                        let mut bytes = Vec::new();
+                        encode_done(
+                            ticket,
+                            result.stats.rows as u64,
+                            result.stats.chunks as u64,
+                            result.stats.cache_hit,
+                            result.stats.share_bytes as u64,
+                            result.result.columns().iter().map(|c| c.as_slice()),
+                            &mut bytes,
+                        );
+                        self.enqueue_bytes(idx, bytes);
                     }
                     Some(QueryOutcome {
                         outcome: Err(error),

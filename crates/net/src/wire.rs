@@ -39,6 +39,9 @@ pub const WIRE_VERSION: u8 = 1;
 /// Header size in bytes (magic + version + type + payload length).
 pub const HEADER_LEN: usize = 8;
 
+/// The type byte of [`Frame::Done`].
+const DONE_TYPE: u8 = 0x85;
+
 /// Default cap on a single frame's payload (16 MiB) — a decoded length
 /// above the cap is refused with [`WireError::Oversized`] *before* any
 /// buffer grows to meet it, so a hostile length field cannot balloon
@@ -241,7 +244,7 @@ impl Frame {
             Frame::Submitted { .. } => 0x82,
             Frame::Queued { .. } => 0x83,
             Frame::Chunk { .. } => 0x84,
-            Frame::Done { .. } => 0x85,
+            Frame::Done { .. } => DONE_TYPE,
             Frame::Rejected { .. } => 0x86,
             Frame::CancelResult { .. } => 0x87,
             Frame::ProtocolError { .. } => 0x88,
@@ -383,14 +386,75 @@ fn put_error(out: &mut Vec<u8>, e: &RdxError) {
     }
 }
 
-/// Appends `frame`, fully encoded (header + payload), to `out`.
-pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+/// Appends a frame header with a placeholder length; returns where the
+/// length goes, for [`end_frame`].
+fn begin_frame(out: &mut Vec<u8>, type_byte: u8) -> usize {
     out.extend_from_slice(&MAGIC);
     out.push(WIRE_VERSION);
-    out.push(frame.type_byte());
+    out.push(type_byte);
     let len_at = out.len();
-    put_u32(out, 0); // patched below
-    let payload_start = out.len();
+    put_u32(out, 0);
+    len_at
+}
+
+/// Patches the payload length of the frame begun at `len_at`.
+fn end_frame(out: &mut [u8], len_at: usize) {
+    let payload_len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+}
+
+/// Payload bytes of a `Done` frame ahead of its columns: ticket, rows,
+/// chunks, cache-hit byte, share bytes, column count.
+const DONE_FIXED_LEN: usize = 8 + 8 + 8 + 1 + 8 + 2;
+
+/// Appends a [`Frame::Done`] encoded straight from borrowed result columns
+/// — byte-identical to [`encode_frame`] on the equivalent [`WireReport`],
+/// without first copying the columns into one.  `out` is reserved to the
+/// exact frame size up front (one allocation into an empty `Vec`, none into
+/// one already large enough), so each value is one 4-byte copy into
+/// reserved space.
+pub fn encode_done<'a, I>(
+    ticket: u64,
+    rows: u64,
+    chunks: u64,
+    cache_hit: bool,
+    share_bytes: u64,
+    columns: I,
+    out: &mut Vec<u8>,
+) where
+    I: ExactSizeIterator<Item = &'a [i32]> + Clone,
+{
+    let column_bytes: usize = columns.clone().map(|col| 4 + 4 * col.len()).sum();
+    out.reserve(HEADER_LEN + DONE_FIXED_LEN + column_bytes);
+    let len_at = begin_frame(out, DONE_TYPE);
+    put_u64(out, ticket);
+    put_u64(out, rows);
+    put_u64(out, chunks);
+    out.push(u8::from(cache_hit));
+    put_u64(out, share_bytes);
+    put_u16(out, columns.len() as u16);
+    for col in columns {
+        put_u32(out, col.len() as u32);
+        out.extend(col.iter().flat_map(|v| v.to_le_bytes()));
+    }
+    end_frame(out, len_at);
+}
+
+/// Appends `frame`, fully encoded (header + payload), to `out`.
+pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
+    if let Frame::Done { ticket, report } = frame {
+        encode_done(
+            *ticket,
+            report.rows,
+            report.chunks,
+            report.cache_hit,
+            report.share_bytes,
+            report.columns.iter().map(Vec::as_slice),
+            out,
+        );
+        return;
+    }
+    let len_at = begin_frame(out, frame.type_byte());
     match frame {
         Frame::Hello { tenant } => match tenant {
             Some(name) => {
@@ -444,20 +508,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *chunks);
             put_u64(out, *rows);
         }
-        Frame::Done { ticket, report } => {
-            put_u64(out, *ticket);
-            put_u64(out, report.rows);
-            put_u64(out, report.chunks);
-            out.push(u8::from(report.cache_hit));
-            put_u64(out, report.share_bytes);
-            put_u16(out, report.columns.len() as u16);
-            for col in &report.columns {
-                put_u32(out, col.len() as u32);
-                for v in col {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
+        Frame::Done { .. } => {} // written by encode_done above
         Frame::Rejected { ticket, error } => {
             put_u64(out, *ticket);
             put_error(out, error);
@@ -468,8 +519,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::ProtocolError { detail } => put_string(out, detail),
     }
-    let payload_len = (out.len() - payload_start) as u32;
-    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+    end_frame(out, len_at);
 }
 
 // ---------------------------------------------------------------- reading
@@ -625,6 +675,14 @@ fn read_error(r: &mut Reader<'_>) -> Result<RdxError, WireError> {
     })
 }
 
+/// The full encoded length (header + payload) of the frame whose header
+/// starts `buf`, or `None` while the header is incomplete.  Validates
+/// nothing: callers ask only after [`decode_frame`] accepted the header.
+pub(crate) fn frame_len(buf: &[u8]) -> Option<usize> {
+    let len = buf.get(4..HEADER_LEN)?;
+    Some(HEADER_LEN + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize)
+}
+
 /// Decodes the first complete frame in `buf`.
 ///
 /// Returns `Ok(Some((frame, consumed)))` when a whole frame was present
@@ -711,7 +769,7 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
             chunks: r.u64()?,
             rows: r.u64()?,
         },
-        0x85 => {
+        DONE_TYPE => {
             let ticket = r.u64()?;
             let rows = r.u64()?;
             let chunks = r.u64()?;

@@ -1,30 +1,43 @@
 //! Allocation-regression tests for the zero-allocation scatter engine.
 //!
 //! A counting global allocator wraps `System` and tallies every `alloc` /
-//! `realloc` in the test binary.  The headline guarantee (the PR 4
-//! acceptance gate): once a streaming [`PipelineRun`] has emitted its first
-//! chunk on a single-threaded policy, **every further
-//! [`PipelineRun::step`] performs zero heap allocations** — the chunk loop
-//! runs entirely out of the run's [`ChunkScratch`] and the caller's sink.
-//! Companion tests pin down the per-call allocation budget of the scratch
-//! kernels themselves, so a regression that quietly reintroduces per-call
-//! buffers fails loudly.
+//! `realloc` per thread.  The headline guarantee: once a streaming
+//! [`PipelineRun`] has emitted its first chunk on a single-threaded policy,
+//! **every further [`PipelineRun::step`] performs zero heap allocations** —
+//! the chunk loop runs entirely out of the run's [`ChunkScratch`] and the
+//! caller's sink.  Companion tests pin down the per-call allocation budget
+//! of the scratch kernels and of the wire's `Done` path, so a regression
+//! that quietly reintroduces per-call buffers or copies fails loudly.
 
 use radix_decluster::core::cluster::SWWC_SLOT_ELEMS;
+use radix_decluster::net::{encode_done, encode_frame, Frame, WireReport};
 use radix_decluster::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counts allocations (and reallocations — a `realloc` is a new buffer as
 /// far as steady-state reuse is concerned); frees are irrelevant here.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread.  Counting per thread keeps
+    /// the test harness's own threads and concurrently running tests out
+    /// of every measured window; each window runs its code under test on
+    /// the measuring thread (single-threaded policies), so nothing it
+    /// allocates is missed.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: an allocation during thread teardown is simply not
+    // counted.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -33,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,24 +54,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global, so concurrently running tests
-/// would count each other's allocations into any measured window.  Every
-/// test in this binary holds this lock for its whole body; a panicked test
-/// must not wedge the rest, so poisoning is ignored.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialized() -> MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs `f` and returns how many allocations it performed.  Only meaningful
-/// while [`serialized`] is held.
+/// Runs `f` and returns how many allocations the calling thread performed
+/// during it.
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A sink that verifies geometry but holds no memory: the steady-state
@@ -78,7 +79,6 @@ impl RowChunkSink for NullSink {
 
 #[test]
 fn pipeline_step_allocates_nothing_in_steady_state() {
-    let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::tiny_for_tests();
@@ -143,7 +143,6 @@ fn pipeline_step_allocates_nothing_in_steady_state() {
 
 #[test]
 fn observed_pipeline_step_allocates_nothing_in_steady_state() {
-    let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::tiny_for_tests();
@@ -205,7 +204,6 @@ fn observed_pipeline_step_allocates_nothing_in_steady_state() {
 /// prediction state are all pre-allocated by `attach_adaptive`.
 #[test]
 fn adaptive_hold_steps_allocate_nothing_in_steady_state() {
-    let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::tiny_for_tests();
@@ -265,7 +263,6 @@ fn adaptive_hold_steps_allocate_nothing_in_steady_state() {
 /// scratch never regrows.
 #[test]
 fn steps_after_a_resplit_return_to_zero_allocations() {
-    let _guard = serialized();
     let w = JoinWorkloadBuilder::equal(6_000, 2).seed(77).build();
     let spec = QuerySpec::symmetric(2);
     let params = CacheParams::tiny_for_tests();
@@ -347,7 +344,6 @@ fn steps_after_a_resplit_return_to_zero_allocations() {
 
 #[test]
 fn cluster_with_scratch_allocates_only_the_output() {
-    let _guard = serialized();
     let oids: Vec<Oid> = (0..50_000u32).rev().collect();
     let payloads: Vec<Oid> = (0..50_000).collect();
     let spec = RadixClusterSpec::partial(6, 2, 0);
@@ -387,7 +383,6 @@ fn cluster_with_scratch_allocates_only_the_output() {
 
 #[test]
 fn decluster_into_allocates_nothing_after_warmup() {
-    let _guard = serialized();
     let n = 20_000usize;
     let smaller: Vec<Oid> = (0..n as Oid).rev().collect();
     let positions: Vec<Oid> = (0..n as Oid).collect();
@@ -437,5 +432,102 @@ fn swwc_slot_constant_agrees_between_kernel_and_cost_model() {
     assert_eq!(
         SWWC_SLOT_ELEMS,
         radix_decluster::cost::algorithms::SWWC_SLOT_ELEMS
+    );
+}
+
+/// `n` columns of `rows` values each, distinct per column.
+fn result_columns(n: usize, rows: usize) -> Vec<Vec<i32>> {
+    (0..n)
+        .map(|c| {
+            (0..rows)
+                .map(|r| (r as i32).wrapping_mul(31) ^ c as i32)
+                .collect()
+        })
+        .collect()
+}
+
+/// The server's `Done` path copies each result value once: encoding from
+/// borrowed columns reserves the exact frame up front, so it allocates
+/// once into an empty buffer and not at all into one already large enough
+/// — whatever the column count and size.
+#[test]
+fn done_frame_encodes_from_borrowed_columns_in_one_allocation() {
+    for (ncols, rows) in [(0, 0), (1, 0), (4, 1_000), (8, 200_000)] {
+        let columns = result_columns(ncols, rows);
+        let borrowed = || columns.iter().map(Vec::as_slice);
+        let mut bytes = Vec::new();
+        let allocs = allocations_during(|| {
+            encode_done(7, rows as u64, 3, true, 4096, borrowed(), &mut bytes);
+        });
+        assert_eq!(allocs, 1, "{ncols}×{rows}: into an empty Vec");
+
+        // Byte-identical to the owned-report encoder.
+        let mut expected = Vec::new();
+        let report = WireReport {
+            rows: rows as u64,
+            chunks: 3,
+            cache_hit: true,
+            share_bytes: 4096,
+            columns: columns.clone(),
+        };
+        encode_frame(&Frame::Done { ticket: 7, report }, &mut expected);
+        assert_eq!(bytes, expected, "{ncols}×{rows}: bytes");
+
+        bytes.clear();
+        let allocs = allocations_during(|| {
+            encode_done(7, rows as u64, 3, true, 4096, borrowed(), &mut bytes);
+        });
+        assert_eq!(allocs, 0, "{ncols}×{rows}: into a reserved Vec");
+        assert_eq!(bytes, expected);
+    }
+}
+
+/// The client reads a large frame's body straight into a buffer grown once
+/// to the frame's size: the allocations of one `recv` are the same for a
+/// 1 MB and an 8 MB frame (the old 4 KiB read loop regrew its buffer once
+/// per doubling), and beyond the decoded columns themselves they are at
+/// most two (the header read and the one exact growth).
+#[cfg(unix)]
+#[test]
+fn client_reads_a_large_frame_with_constant_buffer_growth() {
+    use radix_decluster::net::{NetClient, NetStream};
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+
+    let ncols = 4;
+    let mut counts = Vec::new();
+    for rows in [1 << 16, 1 << 19] {
+        let columns = result_columns(ncols, rows);
+        let frame = Frame::Done {
+            ticket: 1,
+            report: WireReport {
+                rows: rows as u64,
+                chunks: 1,
+                cache_hit: false,
+                share_bytes: 0,
+                columns,
+            },
+        };
+        let mut bytes = Vec::new();
+        encode_frame(&frame, &mut bytes);
+        let (ours, mut theirs) = UnixStream::pair().expect("socket pair");
+        let writer = std::thread::spawn(move || theirs.write_all(&bytes));
+        let mut client = NetClient::new(NetStream::Unix(ours));
+        let mut received = None;
+        let allocs = allocations_during(|| received = Some(client.recv()));
+        writer.join().expect("writer").expect("write");
+        assert_eq!(received.expect("ran").expect("frame"), frame);
+        // Decoding allocates the column list and one buffer per column.
+        let decode = 1 + ncols;
+        assert!(
+            allocs <= decode + 2,
+            "{rows} rows: {allocs} allocations, {} for the read buffer",
+            allocs - decode
+        );
+        counts.push(allocs);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "buffer growth must not scale with size"
     );
 }
