@@ -322,8 +322,9 @@ struct RunProfile {
 
 /// What the second side of one chunk did, for the profiled replay.
 enum SecondSideReplay<'a> {
-    /// Straight positional fetch from `second_oids[emitted..]`.
-    Unsorted { rows: usize },
+    /// Straight positional fetch of the chunk's slice of `second_oids`,
+    /// in stream order.
+    Unsorted { oids: &'a [Oid] },
     /// Cluster-side gather + windowed decluster over the chunk-local
     /// arrays (the Fig. 5 access pattern).
     Decluster {
@@ -355,6 +356,11 @@ impl RunProfile {
     /// declustering chunks, one traced windowed decluster scaled to the
     /// smaller-side column count (the decluster's address pattern is
     /// value-independent, so every column replays identically).
+    ///
+    /// Never inlined: the replay runs only on profiled runs, and keeping
+    /// it out of [`PipelineRun::step`] keeps the unprofiled chunk loop's
+    /// code the same whatever the replay does.
+    #[inline(never)]
     fn replay_chunk(
         &mut self,
         emitted: usize,
@@ -375,17 +381,13 @@ impl RunProfile {
         }
         let mut scaled = EventCounts::zero();
         match second {
-            SecondSideReplay::Unsorted { rows } => {
+            SecondSideReplay::Unsorted { oids } => {
                 for col in 0..self.smaller_cols.len() {
                     let region = self.smaller_cols[col];
-                    for i in 0..rows {
+                    for (i, &oid) in oids.iter().enumerate() {
                         self.mem.read(self.second_oids_region.addr(emitted + i), 4);
-                        // The replay charges the average positional read; the
-                        // oid itself is irrelevant to the address *pattern*
-                        // class (uniform random into the column), so we model
-                        // it with the stream position folded into the region.
                         self.mem
-                            .read(region.addr(i % region.elems()), region.elem_width());
+                            .read(region.addr(oid as usize), region.elem_width());
                         self.mem.write(self.chunk_out.addr(i), VALUE_WIDTH);
                     }
                 }
@@ -957,7 +959,9 @@ where
                     declustered,
                 }
             } else {
-                SecondSideReplay::Unsorted { rows }
+                SecondSideReplay::Unsorted {
+                    oids: &self.prepared.second_oids[emitted..chunk_end],
+                }
             };
             prof.profile
                 .record_span(Phase::Fetch, first_elapsed.as_nanos() as u64);
@@ -1734,6 +1738,38 @@ mod tests {
             // Two identical profiled runs charge identical simulated counts.
             assert_eq!(totals[0], totals[1], "simulated counts not deterministic");
         }
+    }
+
+    /// The profile replays the real second-side oid stream, so on a
+    /// relation ten times the simulated L2 it reports the paper's sign:
+    /// an unsorted second-side fetch misses L2 more than a declustered
+    /// one, both with the same partially clustered first side (only the
+    /// second side differs) and end to end (u/u against c/d).
+    #[test]
+    fn profiled_unsorted_second_side_misses_l2_more_than_decluster() {
+        use rdx_obs::{Obs, ObsConfig, QueryId};
+
+        // 20 000 rows: each value column is 80 KB against an 8 KB L2.
+        let w = JoinWorkloadBuilder::equal(20_000, 1).seed(29).build();
+        let spec = QuerySpec::symmetric(1);
+        let params = CacheParams::tiny_for_tests();
+        let policy = ExecPolicy::with_threads(1).budget(MemoryBudget::bytes(64 * 1024));
+        let l2_misses = |first: ProjectionCode, second: SecondSideCode| {
+            let pipeline = ProjectionPipeline::new(DsmPostProjection::with_codes(first, second));
+            let prepared = Arc::new(pipeline.prepare(&w.larger, &w.smaller, &params, &policy));
+            let obs = Obs::enabled(ObsConfig::default());
+            let mut run =
+                DsmPipelineRun::over_dsm(prepared, &w.larger, &w.smaller, &spec, &params, &policy);
+            run.attach_profile(&obs, QueryId::next(), &params);
+            run.run_to_completion(&mut MaterializeSink::new());
+            let snap = obs.metrics_snapshot().unwrap();
+            snap.counter("profile.l2_misses").unwrap()
+        };
+        let uu = l2_misses(ProjectionCode::Unsorted, SecondSideCode::Unsorted);
+        let cu = l2_misses(ProjectionCode::PartialCluster, SecondSideCode::Unsorted);
+        let cd = l2_misses(ProjectionCode::PartialCluster, SecondSideCode::Decluster);
+        assert!(cu > cd, "c/u {cu} L2 misses must exceed c/d {cd}");
+        assert!(uu > cd, "u/u {uu} L2 misses must exceed c/d {cd}");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   listener (TCP or unix-domain via [`NetListener`]), every
 //!   connection's buffers, and [`rdx_serve::QueryEngine::step`].
 //!   Per-connection bounded outbound queues give backpressure that never
-//!   blocks the engine; protocol violations tear down one connection,
-//!   never the server.
+//!   holds the engine while it has work; a cycle with nothing else to do
+//!   waits on a full send buffer for at most [`IDLE_INTERVAL`], so large
+//!   replies drain at socket speed.  Protocol violations tear down one
+//!   connection, never the server.
 //! - [`client`] — [`NetClient`]: a small blocking client for tests,
 //!   examples, and other processes.
 //!
@@ -32,7 +34,9 @@ pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, NetClient};
-pub use server::{NetConfig, NetListener, NetServer, NetStats, NetStream, NO_TICKET};
+pub use server::{
+    NetConfig, NetListener, NetServer, NetStats, NetStream, IDLE_INTERVAL, NO_TICKET,
+};
 pub use wire::{
     decode_frame, encode_done, encode_frame, Frame, SubmitSpec, WireError, WireReport,
     DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, WIRE_VERSION,

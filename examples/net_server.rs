@@ -4,10 +4,11 @@
 //! speaker of the versioned frame format in `net::wire`).
 //!
 //! The server runs single-threaded: socket I/O and engine chunk-steps
-//! interleave in one loop, so a slow client can never block another
-//! query's progress — its replies queue under per-connection
-//! backpressure instead.  It exits once at least one client has been
-//! seen and every connection has drained.
+//! interleave in one loop.  A slow client's replies queue under
+//! per-connection backpressure; only when the loop has nothing else to do
+//! does it wait on a full send buffer, for at most one write timeout, so
+//! large results drain at socket speed.  It exits once at least one
+//! client has been seen and every connection has drained.
 //!
 //! Run with `cargo run --release --example net_server [addr]`
 //! (default `127.0.0.1:7744`), then in another terminal:
@@ -55,8 +56,13 @@ fn main() {
     let engine = server.engine_mut().stats();
     println!(
         "all clients disconnected: {} conns, {} frames in / {} out, {} decode errors, \
-         {} backpressure pauses",
-        net.accepted, net.frames_in, net.frames_out, net.decode_errors, net.backpressure_pauses,
+         {} backpressure pauses, {} waits on a full send buffer",
+        net.accepted,
+        net.frames_in,
+        net.frames_out,
+        net.decode_errors,
+        net.backpressure_pauses,
+        net.write_waits,
     );
     println!(
         "engine admitted {} queries ({} rejected, {} cancelled)",

@@ -651,3 +651,300 @@ fn a_scripted_fault_plan_produces_the_same_trace_over_the_wire() {
         "wire trace diverged from the in-process trace"
     );
 }
+
+/// The large-frame cells: 1M rows × 2 columns, an 8 MB `Done` — about 40
+/// unix-socket send buffers.
+#[cfg(unix)]
+const LARGE_ROWS: usize = 1_000_000;
+
+/// The large-frame workload (pair `0, 1`, one attribute per side, hit rate
+/// 1), its serving config, and the in-process oracle for `π = (1, 1)`.
+#[cfg(unix)]
+fn large_frame_cell() -> (workload::JoinWorkload, ServeConfig, Vec<Vec<i32>>) {
+    let w = JoinWorkloadBuilder::equal(LARGE_ROWS, 1).seed(71).build();
+    let cfg = ServeConfig {
+        plan_shares: Some(1),
+        ..ServeConfig::default()
+    };
+    let mut session = Session::new(cfg.clone());
+    let larger = session.register(w.larger.clone());
+    let smaller = session.register(w.smaller.clone());
+    let report = session
+        .query(larger, smaller)
+        .project(QuerySpec::symmetric(1))
+        .run()
+        .expect("oracle run");
+    let expected = raw_columns(&report.result);
+    assert_eq!(expected.len(), 2);
+    assert_eq!(expected[0].len(), LARGE_ROWS);
+    (w, cfg, expected)
+}
+
+/// Sends one frame over a raw socket.
+#[cfg(unix)]
+fn send_raw(stream: &mut std::os::unix::net::UnixStream, frame: &Frame) {
+    let mut bytes = Vec::new();
+    encode_frame(frame, &mut bytes);
+    stream.write_all(&bytes).expect("send frame");
+}
+
+/// Reads exactly one frame's bytes off a raw socket: the header, then the
+/// payload length it declares.
+#[cfg(unix)]
+fn read_frame_bytes(stream: &mut std::os::unix::net::UnixStream) -> Vec<u8> {
+    let header_len = radix_decluster::net::HEADER_LEN;
+    let mut header = [0u8; radix_decluster::net::HEADER_LEN];
+    stream.read_exact(&mut header).expect("frame header");
+    let payload = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
+    // `vec![0; n]` is one zeroed allocation even unoptimised, so the
+    // reader is draining the socket again at once.
+    let mut bytes = vec![0u8; header_len + payload];
+    bytes[..header_len].copy_from_slice(&header);
+    stream
+        .read_exact(&mut bytes[header_len..])
+        .expect("frame payload");
+    bytes
+}
+
+/// Decodes one complete frame's bytes.
+#[cfg(unix)]
+fn decode_one(bytes: &[u8]) -> Frame {
+    let (frame, used) =
+        radix_decluster::net::decode_frame(bytes, radix_decluster::net::DEFAULT_MAX_PAYLOAD)
+            .expect("decodes")
+            .expect("complete frame");
+    assert_eq!(used, bytes.len());
+    frame
+}
+
+/// A raw client for the large cell: submits `π = (1, 1)` on pair `(0, 1)`,
+/// waits for `go` (the query has finished server-side), polls, calls
+/// `polled`, and reads the `Done` — setting `drained` the moment its last
+/// byte is in hand — then returns its columns.
+#[cfg(unix)]
+fn large_frame_client(
+    path: PathBuf,
+    go: std::sync::mpsc::Receiver<()>,
+    polled: impl FnOnce() + Send + 'static,
+    drained: std::sync::Arc<std::sync::atomic::AtomicBool>,
+) -> thread::JoinHandle<Vec<Vec<i32>>> {
+    thread::spawn(move || {
+        let mut stream = std::os::unix::net::UnixStream::connect(&path).expect("connect");
+        send_raw(&mut stream, &Frame::Submit(wire_spec(1, 1, None)));
+        let ticket = match decode_one(&read_frame_bytes(&mut stream)) {
+            Frame::Submitted { ticket } => ticket,
+            other => panic!("expected Submitted, got {other:?}"),
+        };
+        go.recv().expect("go");
+        send_raw(&mut stream, &Frame::Poll { ticket });
+        polled();
+        let bytes = read_frame_bytes(&mut stream);
+        drained.store(true, Ordering::Release);
+        match decode_one(&bytes) {
+            Frame::Done { report, .. } => report.columns,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    })
+}
+
+/// A `Done` many times the socket's send buffer drains at socket speed: a
+/// hand-driven `poll_cycle` loop (sleeping [`IDLE_INTERVAL`] on `false`,
+/// as `serve` does) goes idle only a handful of times while the frame is
+/// in flight — a loop that returned idle on every full buffer would go
+/// idle about once per send buffer, ~40 times — and the bytes the client
+/// reads are the in-process bytes.
+#[test]
+#[cfg(unix)]
+fn a_done_larger_than_the_send_buffer_drains_without_idling() {
+    use radix_decluster::net::IDLE_INTERVAL;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    let (w, cfg, expected) = large_frame_cell();
+    let path = unix_path();
+    let listener = NetListener::bind_unix(&path).expect("bind unix");
+    let mut engine = QueryEngine::new(cfg);
+    engine.register(w.larger.clone());
+    engine.register(w.smaller.clone());
+    let mut server = NetServer::new(listener, engine, NetConfig::default());
+
+    let (go_tx, go_rx) = std::sync::mpsc::channel();
+    let drained = Arc::new(AtomicBool::new(false));
+    let client = large_frame_client(path.clone(), go_rx, || {}, drained.clone());
+
+    // Phase 1: serve until the query has finished server-side.  Phase 2:
+    // release the client's poll and count idle cycles from the moment the
+    // `Done` is queued until its last byte reaches the client.
+    let mut frames_out_at_go = None;
+    let mut idle_while_draining = 0usize;
+    loop {
+        let progressed = server.poll_cycle();
+        let stats = server.stats();
+        match frames_out_at_go {
+            None if stats.frames_in == 1 && server.engine().is_idle() => {
+                frames_out_at_go = Some(stats.frames_out);
+                go_tx.send(()).expect("client waiting");
+            }
+            Some(at_go)
+                if stats.frames_out > at_go && !drained.load(Ordering::Acquire) && !progressed =>
+            {
+                idle_while_draining += 1;
+            }
+            _ => {}
+        }
+        if frames_out_at_go.is_some() && server.connections() == 0 {
+            break;
+        }
+        if !progressed {
+            thread::sleep(IDLE_INTERVAL);
+        }
+    }
+    let columns = client.join().expect("client thread");
+    let _ = std::fs::remove_file(path);
+
+    assert!(columns == expected, "8 MB Done over the wire ≠ in-process");
+    let stats = server.stats();
+    assert!(
+        idle_while_draining <= 8,
+        "{idle_while_draining} idle cycles while an 8 MB frame drained, stats: {stats:?}"
+    );
+    assert!(
+        stats.write_waits >= 1,
+        "a full send buffer must trigger the idle wait, stats: {stats:?}"
+    );
+    assert_eq!(stats.decode_errors, 0);
+}
+
+/// A client that polls a multi-MB `Done` and then stops reading pins no
+/// one: the idle wait times out on it once and then skips it, a second
+/// connection's submit → `Done` still completes, no single `poll_cycle`
+/// takes longer than a generous bound while the reader is stalled, and
+/// once the stalled client resumes reading its frame decodes to the
+/// in-process bytes.
+#[test]
+#[cfg(unix)]
+fn a_stalled_reader_bounds_the_cycle_and_pins_no_other_connection() {
+    use radix_decluster::net::IDLE_INTERVAL;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let (w, cfg, expected) = large_frame_cell();
+    // A second, small pair (ids 2, 3) for the connection that must not be
+    // pinned, with its own oracle.
+    let small = JoinWorkloadBuilder::equal(1_000, 1).seed(72).build();
+    let small_expected = {
+        let mut session = Session::new(cfg.clone());
+        session.register(w.larger.clone());
+        session.register(w.smaller.clone());
+        let larger = session.register(small.larger.clone());
+        let smaller = session.register(small.smaller.clone());
+        let report = session.query(larger, smaller).run().expect("oracle");
+        raw_columns(&report.result)
+    };
+
+    let path = unix_path();
+    let listener = NetListener::bind_unix(&path).expect("bind unix");
+    let mut engine = QueryEngine::new(cfg);
+    for r in [&w.larger, &w.smaller, &small.larger, &small.smaller] {
+        engine.register(r.clone());
+    }
+    let mut server = NetServer::new(listener, engine, NetConfig::default());
+
+    let (go_tx, go_rx) = std::sync::mpsc::channel();
+    let (polled_tx, polled_rx) = std::sync::mpsc::channel();
+    let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+    // The stalled client: polls, then blocks on `resume` before reading a
+    // byte of its `Done`.
+    let stalled = large_frame_client(
+        path.clone(),
+        go_rx,
+        move || {
+            polled_tx.send(()).expect("server listening");
+            // Resumes on its own after a while, so a wait that ignored its
+            // timeout fails the bound below instead of hanging the test.
+            let _ = resume_rx.recv_timeout(Duration::from_secs(5));
+        },
+        Arc::new(AtomicBool::new(false)),
+    );
+
+    let mut frames_out_at_go = None;
+    let mut polled = false;
+    let mut other: Option<thread::JoinHandle<Vec<Vec<i32>>>> = None;
+    let mut other_columns = None;
+    let mut slowest_stalled_cycle = Duration::ZERO;
+    let mut waits_while_stalled = 0;
+    let mut stall_began: Option<Instant> = None;
+    loop {
+        let t = Instant::now();
+        let progressed = server.poll_cycle();
+        let took = t.elapsed();
+        let stats = server.stats();
+        if frames_out_at_go.is_none() && stats.frames_in == 1 && server.engine().is_idle() {
+            frames_out_at_go = Some(stats.frames_out);
+            go_tx.send(()).expect("client waiting");
+        }
+        if !polled && polled_rx.try_recv().is_ok() {
+            polled = true;
+        }
+        // Stalled phase, from the cycle after the `Done` was queued: the
+        // reader has stopped; once the wait has found its buffer full, a
+        // second client runs a query to completion.
+        let queued = frames_out_at_go.is_some_and(|at_go| stats.frames_out > at_go);
+        if polled && queued && other_columns.is_none() {
+            let began = *stall_began.get_or_insert_with(Instant::now);
+            if stats.write_waits > 0 {
+                slowest_stalled_cycle = slowest_stalled_cycle.max(took);
+                waits_while_stalled = stats.write_waits;
+            }
+            // (The deadline only keeps a loop that never waits from
+            // hanging; the assertions below then fail.)
+            let start_other = stats.write_waits >= 1 || began.elapsed() > Duration::from_secs(1);
+            if other.is_none() && start_other {
+                let path = path.clone();
+                other = Some(thread::spawn(move || {
+                    let mut client = NetClient::connect_unix(&path).expect("connect");
+                    client.hello(None).expect("hello");
+                    let mut spec = wire_spec(1, 1, None);
+                    (spec.larger, spec.smaller) = (2, 3);
+                    let ticket = client.submit(spec).expect("submit");
+                    client.wait(ticket).expect("wait").expect("done").columns
+                }));
+            }
+            if other.as_ref().is_some_and(|h| h.is_finished()) {
+                other_columns = Some(other.take().unwrap().join().expect("other client"));
+                let _ = resume_tx.send(());
+            }
+        }
+        if other_columns.is_some() && server.connections() == 0 {
+            break;
+        }
+        if !progressed {
+            thread::sleep(IDLE_INTERVAL);
+        }
+    }
+    let columns = stalled.join().expect("stalled client");
+    let _ = std::fs::remove_file(path);
+
+    assert_eq!(
+        other_columns.expect("second client finished"),
+        small_expected,
+        "the second connection's result ≠ in-process"
+    );
+    assert_eq!(
+        waits_while_stalled, 1,
+        "a stopped reader is waited on once, then skipped"
+    );
+    // The wait's 200 µs write timeout is kept in kernel timer ticks (4 ms
+    // at HZ=250, 10 ms at HZ=100), so the bound leaves room for a tick
+    // plus scheduling noise; a wait without a timeout would block until
+    // the stalled client gives up after 5 s.
+    assert!(
+        slowest_stalled_cycle < Duration::from_millis(50),
+        "a poll_cycle took {slowest_stalled_cycle:?} while a reader was stalled"
+    );
+    assert!(columns == expected, "resumed 8 MB Done ≠ in-process");
+    let stats = server.stats();
+    assert!(stats.write_waits > 1, "waits resume once the reader drains");
+    assert_eq!(stats.decode_errors, 0);
+}
